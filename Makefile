@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short race vet lint fmt-check bench-quick bench-flowtab bench-ctlplane serve-smoke flight-smoke ctlplane-smoke streams-smoke vet-live test-live check
+.PHONY: build test test-short race vet lint loc fmt-check bench-quick bench-flowtab bench-ctlplane serve-smoke flight-smoke ctlplane-smoke streams-smoke vet-live test-live check
 
 build:
 	$(GO) build ./...
@@ -18,13 +18,22 @@ vet:
 	$(GO) vet ./...
 
 # lint runs scaplint, the repo's own static-analysis suite: the
-# per-package checks (hot-path allocation and locking, snapshot-getter,
+# per-package checks (hot-path allocation, snapshot-getter,
 # lock-discipline, metrics-registration, exported-doc invariants) plus
 # the whole-program concurrency-contract analyzers (goroutine ownership,
-# atomic-field discipline, hot-path blocking). -unusedignores also fails
-# on stale or unjustified //scaplint:ignore directives.
+# atomic-field discipline, hot-path blocking and locking). -unusedignores
+# also fails on stale or unjustified //scaplint:ignore directives.
 lint:
 	$(GO) run ./cmd/scaplint -unusedignores ./...
+
+# loc prints the size of the code a reader has to hold: non-test,
+# non-testdata Go lines of the production path (ROADMAP north star: root
+# package plus the capture-path internals) and, separately, of the tooling.
+PROD_DIRS = . internal/core internal/nic internal/flowtab internal/mem internal/event \
+	internal/reassembly internal/sketch internal/metrics internal/streamscope
+loc:
+	@echo "production path: $$(cat $$(for d in $(PROD_DIRS); do ls $$d/*.go; done | grep -v _test.go) | wc -l) lines"
+	@echo "cmd + internal/analysis: $$(cat $$(find cmd internal/analysis -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*') | wc -l) lines"
 
 # bench-quick compiles and runs every benchmark for a single iteration —
 # a smoke test that the bench harnesses stay buildable and terminate, not
@@ -47,13 +56,13 @@ bench-flowtab:
 # enabled, scrapes /metrics over HTTP, and asserts nonzero packets_total —
 # the end-to-end proof that the observability path works.
 serve-smoke:
-	$(GO) run ./cmd/scaptop -smoke
+	$(GO) run ./cmd/scaptop -smoke serve
 
 # flight-smoke replays a short trace with a low stream cutoff so the engines
 # emit flight-recorder records, then asserts /debug/flight returns at least
 # one record and a valid Chrome trace-event export.
 flight-smoke:
-	$(GO) run ./cmd/scaptop -flight-smoke
+	$(GO) run ./cmd/scaptop -smoke flight
 
 # ctlplane-smoke overloads a deliberately tiny socket (2 MiB memory budget,
 # slow consumer callbacks) with the adaptive controller enabled, then asserts
@@ -61,7 +70,7 @@ flight-smoke:
 # matching ctl_* records — the end-to-end proof of the telemetry→decision→
 # actuation loop.
 ctlplane-smoke:
-	$(GO) run ./cmd/scaptop -ctlplane-smoke
+	$(GO) run ./cmd/scaptop -smoke ctlplane
 
 # streams-smoke replays a cutoff-heavy trace with the journal sampler
 # effectively off, then asserts /debug/streams carries cutoff-promoted
@@ -69,7 +78,7 @@ ctlplane-smoke:
 # named track per journal, and /debug/history accumulates sparkline points.
 # Set SCAP_STREAMS_TRACE_OUT to also write the Perfetto-loadable export.
 streams-smoke:
-	$(GO) run ./cmd/scaptop -streams-smoke
+	$(GO) run ./cmd/scaptop -smoke streams
 
 # bench-ctlplane runs the adaptive-vs-fixed-cutoff overload replay
 # (EXPERIMENTS.md §ctlplane) with the strict comparative assertions on: the

@@ -425,6 +425,7 @@ func (c *captureState) injectBatch(frames []RawFrame) {
 		return
 	}
 	sim := c.h.sim
+	//scaplint:ignore hotpathblock audited: injectors serialize once per burst, not per frame, to keep the virtual clock monotonic; ROADMAP item 2 (pre-steered parallel injectors) removes the lock
 	c.injectMu.Lock()
 	last := c.lastTS
 	for i := range frames {

@@ -1,14 +1,15 @@
 // Command scaplint runs the repo's custom static analyzers over the
 // module. The per-package suite checks racy snapshot getters
-// (statssnapshot), allocation, locking, and blocking on the
-// //scap:hotpath per-packet path (hotpathalloc, hotpathlock), "guarded
-// by mu" field access outside the mutex (lockdiscipline), metrics
+// (statssnapshot), allocation on the //scap:hotpath per-packet path
+// (hotpathalloc), "guarded by mu" field access outside the mutex
+// (lockdiscipline), metrics
 // registration discipline (metricreg), and doc comments on the public
 // API (exporteddoc). The whole-program suite builds a module-wide call
 // graph and verifies concurrency contracts: goroutine ownership of
 // single-writer state and SPSC ring ends (ownership), mixed
 // atomic/plain field access and 64-bit atomic alignment (atomicfield),
-// and blocking operations reachable from the hot path (hotpathblock).
+// and blocking operations or mutex acquisition reachable from the hot
+// path (hotpathblock).
 //
 // Usage:
 //

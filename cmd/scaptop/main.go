@@ -8,10 +8,10 @@
 //	scaptop -addr 127.0.0.1:6060             # watch a live capture
 //	scaptop -addr 127.0.0.1:6060 -plain -n 3 # three plain snapshots
 //	scaptop -addr 127.0.0.1:6060 -json       # one raw /metrics payload, then exit
-//	scaptop -smoke                           # self-contained end-to-end check
-//	scaptop -flight-smoke                    # end-to-end flight-recorder check
-//	scaptop -ctlplane-smoke                  # end-to-end adaptive-controller check
-//	scaptop -streams-smoke                   # end-to-end stream-journal check
+//	scaptop -smoke serve                     # self-contained end-to-end check of /metrics
+//	scaptop -smoke flight                    # ... of the flight recorder
+//	scaptop -smoke ctlplane                  # ... of the adaptive controller
+//	scaptop -smoke streams                   # ... of the stream journals and history ring
 package main
 
 import (
@@ -21,55 +21,28 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
-	"scap"
 	"scap/internal/ctlplane"
 	"scap/internal/metrics"
 	"scap/internal/streamscope"
-	"scap/internal/trace"
 )
 
 func main() {
 	var (
-		addr        = flag.String("addr", "127.0.0.1:6060", "debug server address (Handle.Serve)")
-		interval    = flag.Duration("interval", time.Second, "poll interval")
-		count       = flag.Int("n", 0, "number of polls (0 = until interrupted)")
-		plain       = flag.Bool("plain", false, "append snapshots instead of redrawing the screen")
-		jsonOnce    = flag.Bool("json", false, "print one raw /metrics payload as JSON and exit")
-		smoke       = flag.Bool("smoke", false, "run an in-process capture, scrape it once, and exit")
-		flightSmoke = flag.Bool("flight-smoke", false, "run an in-process capture and verify /debug/flight")
-		ctlSmoke    = flag.Bool("ctlplane-smoke", false, "run an in-process overloaded capture and verify /debug/ctlplane")
-		strSmoke    = flag.Bool("streams-smoke", false, "run an in-process capture and verify /debug/streams and /debug/history")
+		addr     = flag.String("addr", "127.0.0.1:6060", "debug server address (Handle.Serve)")
+		interval = flag.Duration("interval", time.Second, "poll interval")
+		count    = flag.Int("n", 0, "number of polls (0 = until interrupted)")
+		plain    = flag.Bool("plain", false, "append snapshots instead of redrawing the screen")
+		jsonOnce = flag.Bool("json", false, "print one raw /metrics payload as JSON and exit")
+		smoke    = flag.String("smoke", "", "run an in-process capture and verify one debug surface end to end: serve, flight, ctlplane or streams")
 	)
 	flag.Parse()
 
-	if *smoke {
-		if err := runSmoke(); err != nil {
-			fmt.Fprintln(os.Stderr, "scaptop -smoke:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *flightSmoke {
-		if err := runFlightSmoke(); err != nil {
-			fmt.Fprintln(os.Stderr, "scaptop -flight-smoke:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *ctlSmoke {
-		if err := runCtlplaneSmoke(); err != nil {
-			fmt.Fprintln(os.Stderr, "scaptop -ctlplane-smoke:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *strSmoke {
-		if err := runStreamsSmoke(); err != nil {
-			fmt.Fprintln(os.Stderr, "scaptop -streams-smoke:", err)
+	if *smoke != "" {
+		if err := runSmoke(*smoke); err != nil {
+			fmt.Fprintf(os.Stderr, "scaptop -smoke %s: %v\n", *smoke, err)
 			os.Exit(1)
 		}
 		return
@@ -88,7 +61,7 @@ func main() {
 		if i > 0 {
 			time.Sleep(*interval)
 		}
-		p, err := fetch(*addr)
+		p, err := getJSON[metrics.Payload](*addr, "/metrics")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "scaptop:", err)
 			os.Exit(1)
@@ -99,31 +72,19 @@ func main() {
 		fmt.Print(render(p))
 		// The controller line comes from its own endpoint; a server without
 		// one (older binary) just renders nothing extra.
-		if cs, err := fetchCtl(*addr); err == nil {
+		if cs, err := getJSON[ctlplane.Snapshot](*addr, "/debug/ctlplane"); err == nil {
 			fmt.Print(renderCtlplane(cs))
 		}
 		// Likewise the journal line and the history sparklines: endpoints
-		// that are disabled or absent render nothing.
-		if sd, err := fetchStreams(*addr); err == nil {
+		// that are disabled or absent serve {"enabled": false}, which decodes
+		// to a zero dump and renders nothing.
+		if sd, err := getJSON[streamscope.Dump](*addr, "/debug/streams"); err == nil {
 			fmt.Print(renderStreams(sd))
 		}
-		if hd, err := fetchHistory(*addr); err == nil {
+		if hd, err := getJSON[metrics.HistoryDump](*addr, "/debug/history"); err == nil {
 			fmt.Print(renderHistory(hd))
 		}
 	}
-}
-
-// fetchCtl scrapes one /debug/ctlplane snapshot.
-func fetchCtl(addr string) (*ctlplane.Snapshot, error) {
-	body, err := fetchBody(addr, "/debug/ctlplane")
-	if err != nil {
-		return nil, err
-	}
-	var s ctlplane.Snapshot
-	if err := json.Unmarshal(body, &s); err != nil {
-		return nil, err
-	}
-	return &s, nil
 }
 
 // renderCtlplane formats the adaptive controller's one-line status: mode,
@@ -166,34 +127,6 @@ func renderCtlplane(s *ctlplane.Snapshot) string {
 	}
 	b.WriteByte('\n')
 	return b.String()
-}
-
-// fetchStreams scrapes one /debug/streams dump. A disabled scope serves
-// {"enabled": false}, which decodes to a zero Dump (Cores 0) — callers treat
-// that as nothing to render.
-func fetchStreams(addr string) (*streamscope.Dump, error) {
-	body, err := fetchBody(addr, "/debug/streams")
-	if err != nil {
-		return nil, err
-	}
-	var d streamscope.Dump
-	if err := json.Unmarshal(body, &d); err != nil {
-		return nil, err
-	}
-	return &d, nil
-}
-
-// fetchHistory scrapes one /debug/history dump (same disabled convention).
-func fetchHistory(addr string) (*metrics.HistoryDump, error) {
-	body, err := fetchBody(addr, "/debug/history")
-	if err != nil {
-		return nil, err
-	}
-	var d metrics.HistoryDump
-	if err := json.Unmarshal(body, &d); err != nil {
-		return nil, err
-	}
-	return &d, nil
 }
 
 // renderStreams formats the stream-journal status line: pool population,
@@ -305,13 +238,17 @@ func fetchBody(addr, path string) ([]byte, error) {
 	return body, nil
 }
 
-// fetch scrapes one /metrics payload.
-func fetch(addr string) (*metrics.Payload, error) {
-	body, err := fetchBody(addr, "/metrics")
+// getJSON scrapes one debug-server endpoint and decodes its JSON body.
+func getJSON[T any](addr, path string) (*T, error) {
+	body, err := fetchBody(addr, path)
 	if err != nil {
 		return nil, err
 	}
-	return metrics.ParsePayload(body)
+	var v T
+	if err := json.Unmarshal(body, &v); err != nil {
+		return nil, fmt.Errorf("parse %s: %v", path, err)
+	}
+	return &v, nil
 }
 
 // perCoreRows is the counter set shown per core, in display order.
@@ -418,13 +355,10 @@ func render(p *metrics.Payload) string {
 
 	if len(p.Events) > 0 {
 		fmt.Fprintf(&b, "\nrecent overload events (%d):\n", len(p.Events))
-		evs := p.Events
+		evs := p.Events // oldest first
 		if len(evs) > 10 {
 			evs = evs[len(evs)-10:]
 		}
-		// Newest last is natural for a log; keep payload (oldest-first)
-		// order but make it explicit for readers of this code.
-		sort.SliceStable(evs, func(i, j int) bool { return evs[i].TimeUnixNano < evs[j].TimeUnixNano })
 		for _, e := range evs {
 			fmt.Fprintf(&b, "  %s  %-20s core=%d", time.Unix(0, e.TimeUnixNano).Format("15:04:05.000"), e.KindName, e.Core)
 			if e.Value != 0 {
@@ -495,333 +429,4 @@ func gaugeVal(p *metrics.Payload, name string) int64 {
 		return g.Value
 	}
 	return 0
-}
-
-// runSmoke is the CI end-to-end check (make serve-smoke): replay a small
-// synthetic trace through a real socket with Serve enabled, scrape /metrics
-// over HTTP, and require nonzero packets_total.
-func runSmoke() error {
-	h, err := scap.Create(scap.Config{Queues: 2, MemorySize: 64 << 20})
-	if err != nil {
-		return err
-	}
-	h.DispatchData(func(sd *scap.Stream) {})
-	if err := h.StartCapture(); err != nil {
-		return err
-	}
-	srv, err := h.Serve("127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-	gen := trace.ConcurrentStreamsWorkload(1, 200, 16, 40, 1460)
-	if err := h.ReplaySource(gen, 1e9); err != nil {
-		return err
-	}
-	p, err := fetch(srv.Addr())
-	if err != nil {
-		return err
-	}
-	pk := p.Counter("packets_total")
-	if pk == nil || pk.Total == 0 {
-		return fmt.Errorf("packets_total missing or zero in /metrics payload")
-	}
-	if len(pk.PerCore) != 2 {
-		return fmt.Errorf("packets_total per-core = %v, want 2 cores", pk.PerCore)
-	}
-	if err := h.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("serve-smoke OK: packets_total=%d per-core=%v frames=%d\n",
-		pk.Total, pk.PerCore, p.Counter("nic_frames_total").Total)
-	fmt.Print(render(p))
-	return nil
-}
-
-// runFlightSmoke is the CI flight-recorder end-to-end check (make
-// flight-smoke): replay a short trace with a low cutoff so the engines emit
-// flight records, then require /debug/flight to return at least one record
-// and a valid Chrome trace-event export.
-func runFlightSmoke() error {
-	h, err := scap.Create(scap.Config{Queues: 2, MemorySize: 64 << 20})
-	if err != nil {
-		return err
-	}
-	// Most generated flows exceed this, so cutoff records are guaranteed.
-	if err := h.SetCutoff(512); err != nil {
-		return err
-	}
-	h.DispatchData(func(sd *scap.Stream) {})
-	if err := h.StartCapture(); err != nil {
-		return err
-	}
-	srv, err := h.Serve("127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-	gen := trace.ConcurrentStreamsWorkload(2, 200, 16, 40, 1460)
-	if err := h.ReplaySource(gen, 1e9); err != nil {
-		return err
-	}
-
-	body, err := fetchBody(srv.Addr(), "/debug/flight")
-	if err != nil {
-		return err
-	}
-	var dump metrics.FlightDump
-	if err := json.Unmarshal(body, &dump); err != nil {
-		return fmt.Errorf("parse /debug/flight: %v", err)
-	}
-	if len(dump.Records) == 0 || dump.Total == 0 {
-		return fmt.Errorf("no flight records after cutoff-heavy replay: total=%d", dump.Total)
-	}
-
-	body, err = fetchBody(srv.Addr(), "/debug/flight?format=chrome")
-	if err != nil {
-		return err
-	}
-	var tr metrics.ChromeTrace
-	if err := json.Unmarshal(body, &tr); err != nil {
-		return fmt.Errorf("parse chrome trace: %v", err)
-	}
-	if tr.DisplayTimeUnit != "ms" || len(tr.TraceEvents) != len(dump.Records) {
-		return fmt.Errorf("chrome trace shape: unit=%q events=%d records=%d",
-			tr.DisplayTimeUnit, len(tr.TraceEvents), len(dump.Records))
-	}
-	for _, ev := range tr.TraceEvents {
-		if ev.Name == "" || ev.Cat != "flight" || (ev.Ph != "i" && ev.Ph != "X") || ev.TS < 0 {
-			return fmt.Errorf("malformed trace event: %+v", ev)
-		}
-	}
-	if err := h.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("flight-smoke OK: records=%d (total %d), chrome events=%d\n",
-		len(dump.Records), dump.Total, len(tr.TraceEvents))
-	return nil
-}
-
-// runCtlplaneSmoke is the CI control-plane end-to-end check (make
-// ctlplane-smoke): run a capture with a deliberately tiny memory budget, a
-// fast controller, and slow application callbacks so memory pressure builds
-// for real, then require /debug/ctlplane to show the controller reacted (a
-// recorded decision and a control-plane flight record).
-func runCtlplaneSmoke() error {
-	h, err := scap.Create(scap.Config{
-		Queues:     2,
-		MemorySize: 2 << 20, // tiny: ~2 MiB so the replay overloads it
-		Sketch:     scap.SketchConfig{Enabled: true},
-		Control: scap.ControlConfig{
-			Enabled:       true,
-			Interval:      2 * time.Millisecond,
-			EnterFraction: 0.5,
-			ExitFraction:  0.3,
-			Cooldown:      10 * time.Millisecond,
-			HoldTicks:     2,
-			CutoffStart:   64 << 10,
-			CutoffFloor:   16 << 10,
-		},
-	})
-	if err != nil {
-		return err
-	}
-	// Slow consumers: each data callback holds its chunk (and arena block)
-	// for a while, so in-flight memory accumulates ahead of the replay.
-	h.DispatchData(func(sd *scap.Stream) { time.Sleep(200 * time.Microsecond) })
-	if err := h.StartCapture(); err != nil {
-		return err
-	}
-	srv, err := h.Serve("127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-	gen := trace.ConcurrentStreamsWorkload(3, 400, 64, 60, 1460)
-	if err := h.ReplaySource(gen, 1e9); err != nil {
-		return err
-	}
-
-	// The controller runs on the wall clock; give it a few intervals to
-	// observe the tail of the episode before scraping.
-	var cs *ctlplane.Snapshot
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		cs, err = fetchCtl(srv.Addr())
-		if err != nil {
-			return err
-		}
-		if len(cs.Decisions) > 0 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if !cs.Enabled {
-		return fmt.Errorf("/debug/ctlplane reports controller disabled")
-	}
-	if cs.Ticks == 0 {
-		return fmt.Errorf("controller never ticked")
-	}
-	if len(cs.Decisions) == 0 {
-		return fmt.Errorf("no control decisions after overload replay (mode=%s mem=%.2f arena=%.2f)",
-			cs.Mode, cs.MemFraction, cs.ArenaFraction)
-	}
-	var tightened bool
-	for _, d := range cs.Decisions {
-		if d.Action == "tighten" {
-			tightened = true
-		}
-	}
-	if !tightened {
-		return fmt.Errorf("controller decided %d times but never tightened: %+v", len(cs.Decisions), cs.Decisions)
-	}
-
-	// The same decisions must be visible in the flight recorder.
-	body, err := fetchBody(srv.Addr(), "/debug/flight")
-	if err != nil {
-		return err
-	}
-	var dump metrics.FlightDump
-	if err := json.Unmarshal(body, &dump); err != nil {
-		return fmt.Errorf("parse /debug/flight: %v", err)
-	}
-	var ctlRecords int
-	for _, r := range dump.Records {
-		if strings.HasPrefix(r.KindName, "ctl_") {
-			ctlRecords++
-		}
-	}
-	if ctlRecords == 0 {
-		return fmt.Errorf("no ctl_* flight records among %d records", len(dump.Records))
-	}
-	fmt.Print(renderCtlplane(cs))
-	if err := h.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("ctlplane-smoke OK: decisions=%d ctl flight records=%d mode=%s\n",
-		len(cs.Decisions), ctlRecords, cs.Mode)
-	return nil
-}
-
-// runStreamsSmoke is the CI stream-journal end-to-end check (make
-// streams-smoke): run a cutoff-heavy capture with the sampler effectively
-// off (a huge stride), so every journal that appears must have been promoted
-// by an anomaly, then require /debug/streams to carry a cutoff-promoted
-// journal, the chrome export to carry one named track per journal, and
-// /debug/history to accumulate points for the sparklines. When
-// SCAP_STREAMS_TRACE_OUT names a file, the Perfetto-loadable chrome export
-// is written there (the CI artifact).
-func runStreamsSmoke() error {
-	h, err := scap.Create(scap.Config{
-		Queues:     2,
-		MemorySize: 64 << 20,
-		Streams:    scap.StreamsConfig{SampleEvery: 1 << 20},
-		History:    scap.HistoryConfig{Interval: 20 * time.Millisecond},
-	})
-	if err != nil {
-		return err
-	}
-	// Most generated flows exceed this, so cutoff promotions are guaranteed.
-	if err := h.SetCutoff(512); err != nil {
-		return err
-	}
-	h.DispatchData(func(sd *scap.Stream) {})
-	if err := h.StartCapture(); err != nil {
-		return err
-	}
-	srv, err := h.Serve("127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-	gen := trace.ConcurrentStreamsWorkload(4, 200, 16, 40, 1460)
-	if err := h.ReplaySource(gen, 1e9); err != nil {
-		return err
-	}
-
-	sd, err := fetchStreams(srv.Addr())
-	if err != nil {
-		return err
-	}
-	if len(sd.Journals) == 0 || sd.Anomalies == 0 {
-		return fmt.Errorf("no anomaly-promoted journals after cutoff-heavy replay: %d journals, %d anomalies",
-			len(sd.Journals), sd.Anomalies)
-	}
-	var cutoffJournals int
-	for i := range sd.Journals {
-		js := &sd.Journals[i]
-		if js.Sampled {
-			return fmt.Errorf("journal %s claims sampler origin under a 1-in-%d stride", js.Key, 1<<20)
-		}
-		for _, a := range js.Anomalies {
-			if a == "cutoff" {
-				cutoffJournals++
-				break
-			}
-		}
-	}
-	if cutoffJournals == 0 {
-		return fmt.Errorf("no cutoff-promoted journal among %d journals", len(sd.Journals))
-	}
-
-	body, err := fetchBody(srv.Addr(), "/debug/streams?format=chrome")
-	if err != nil {
-		return err
-	}
-	var tr streamscope.Trace
-	if err := json.Unmarshal(body, &tr); err != nil {
-		return fmt.Errorf("parse chrome streams trace: %v", err)
-	}
-	var tracks, events int
-	for _, ev := range tr.TraceEvents {
-		switch {
-		case ev.Ph == "M" && ev.Name == "thread_name":
-			tracks++
-			if name, _ := ev.Args["name"].(string); !strings.HasPrefix(name, "stream ") {
-				return fmt.Errorf("track name %q lacks stream prefix", name)
-			}
-		case ev.Ph == "i" || ev.Ph == "X":
-			events++
-			if ev.TS < 0 {
-				return fmt.Errorf("negative trace timestamp: %+v", ev)
-			}
-		}
-	}
-	if tracks != len(sd.Journals) || events == 0 {
-		return fmt.Errorf("chrome export shape: %d named tracks (want %d), %d events",
-			tracks, len(sd.Journals), events)
-	}
-	if out := os.Getenv("SCAP_STREAMS_TRACE_OUT"); out != "" {
-		if err := os.WriteFile(out, body, 0o644); err != nil {
-			return fmt.Errorf("write trace artifact: %v", err)
-		}
-		fmt.Printf("streams-smoke: wrote chrome trace artifact to %s (%d bytes)\n", out, len(body))
-	}
-
-	// The history ring samples on the wall clock; give it a couple of
-	// intervals so the sparklines have something to draw.
-	var hd *metrics.HistoryDump
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		hd, err = fetchHistory(srv.Addr())
-		if err != nil {
-			return err
-		}
-		if len(hd.Points) >= 2 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if len(hd.Points) < 2 {
-		return fmt.Errorf("history ring never accumulated points")
-	}
-
-	fmt.Print(renderStreams(sd))
-	fmt.Print(renderHistory(hd))
-	if err := h.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("streams-smoke OK: journals=%d (cutoff-promoted %d), chrome tracks=%d events=%d, history points=%d\n",
-		len(sd.Journals), cutoffJournals, tracks, events, len(hd.Points))
-	return nil
 }

@@ -12,14 +12,11 @@
 //   - hotpathalloc: functions marked //scap:hotpath must not allocate
 //     (fmt formatting, time.Now, map/slice literals, make, new, capturing
 //     closures, unvetted append) on the per-packet path.
-//   - hotpathlock: functions marked //scap:hotpath must not acquire a
-//     sync.Mutex or sync.RWMutex — the per-packet path shares state
-//     through single-writer structures and atomics, not locks.
 //   - lockdiscipline: struct fields annotated "guarded by <mu>" must only
 //     be touched by methods that acquire that mutex (or are *Locked
 //     helpers called with it held).
 //   - metricreg: functions marked //scap:hotpath may only use the
-//     internal/metrics atomic fast path (Add/Inc/Set/Observe/ObserveEx/Record/Load);
+//     internal/metrics atomic fast path (Add/Inc/Set/Observe/ObserveEx/Load/Note/Put);
 //     metric registration and snapshot assembly belong in setup code.
 //   - exporteddoc: packages carrying a //scap:publicapi file marker must
 //     document every exported symbol.
@@ -37,7 +34,9 @@
 //     aligned on 32-bit layouts; //scap:atomics structs stay all-atomic.
 //   - hotpathblock: //scap:hotpath functions and their transitive
 //     callees must not block (channel ops, select without default,
-//     time.Sleep, syscalls, I/O).
+//     time.Sleep, sync.Mutex/RWMutex acquisition, syscalls, I/O) — the
+//     per-packet path shares state through single-writer structures and
+//     atomics, not locks.
 //
 // Everything is built on the stdlib go/ast + go/types + go/parser stack;
 // the module stays dependency-free. Findings can be suppressed line-by-line
@@ -76,7 +75,7 @@ type Analyzer struct {
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		StatsSnapshot, HotPathAlloc, HotPathLock, LockDiscipline, MetricReg, ExportedDoc,
+		StatsSnapshot, HotPathAlloc, LockDiscipline, MetricReg, ExportedDoc,
 		Ownership, AtomicField, HotPathBlock,
 	}
 }

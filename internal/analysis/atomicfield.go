@@ -133,19 +133,21 @@ func runAtomicField(prog *Program) []Diagnostic {
 		}
 	}
 
-	// Pass 4: //scap:atomics struct shape.
+	// Pass 4: //scap:atomics struct shape. The marked set spans the whole
+	// program so a struct may nest a marked struct from another package.
+	marked := make(map[types.Object]bool)
 	for _, p := range prog.Pkgs {
-		marked := make(map[string]bool)
 		for _, ns := range structTypes(p) {
 			if _, ok := structMarkerArgs(p, ns, atomicsMarker); ok {
-				marked[ns.Name] = true
+				marked[p.Info.Defs[ns.Spec.Name]] = true
 			}
 		}
+	}
+	for _, p := range prog.Pkgs {
 		for _, ns := range structTypes(p) {
-			if !marked[ns.Name] {
-				continue
+			if marked[p.Info.Defs[ns.Spec.Name]] {
+				diags = append(diags, checkAtomicsShape(p, ns, marked)...)
 			}
-			diags = append(diags, checkAtomicsShape(p, ns, marked)...)
 		}
 	}
 	return diags
@@ -244,7 +246,7 @@ func typedAtomicFor(k types.BasicKind) string {
 
 // checkAtomicsShape verifies every field of a //scap:atomics struct is
 // safe for unsynchronized concurrent access.
-func checkAtomicsShape(p *Package, ns namedStruct, marked map[string]bool) []Diagnostic {
+func checkAtomicsShape(p *Package, ns namedStruct, marked map[types.Object]bool) []Diagnostic {
 	var diags []Diagnostic
 	for _, field := range ns.Struct.Fields.List {
 		names := field.Names
@@ -256,7 +258,7 @@ func checkAtomicsShape(p *Package, ns namedStruct, marked map[string]bool) []Dia
 				continue // padding
 			}
 			t := p.Info.TypeOf(field.Type)
-			if t == nil || atomicsShapeOK(t, p, marked) {
+			if t == nil || atomicsShapeOK(t, marked) {
 				continue
 			}
 			diags = append(diags, Diagnostic{
@@ -271,25 +273,19 @@ func checkAtomicsShape(p *Package, ns namedStruct, marked map[string]bool) []Dia
 }
 
 // atomicsShapeOK reports whether t is allowed inside a //scap:atomics
-// struct: a sync/atomic named type, a same-package struct also marked
-// //scap:atomics, or an array/slice of an allowed type.
-func atomicsShapeOK(t types.Type, p *Package, marked map[string]bool) bool {
+// struct: a sync/atomic named type, a struct also marked //scap:atomics,
+// or an array/slice of an allowed type.
+func atomicsShapeOK(t types.Type, marked map[types.Object]bool) bool {
 	switch tt := t.(type) {
 	case *types.Named:
 		obj := tt.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic" {
-			return true
-		}
-		if obj.Pkg() == p.Types && marked[obj.Name()] {
-			return true
-		}
-		return false
+		return marked[obj] || obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic"
 	case *types.Array:
 		// Blank-named padding arrays are filtered before this; a named
 		// field of array type must hold allowed elements.
-		return atomicsShapeOK(tt.Elem(), p, marked)
+		return atomicsShapeOK(tt.Elem(), marked)
 	case *types.Slice:
-		return atomicsShapeOK(tt.Elem(), p, marked)
+		return atomicsShapeOK(tt.Elem(), marked)
 	}
 	return false
 }

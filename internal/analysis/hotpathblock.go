@@ -11,15 +11,21 @@ import (
 // HotPathBlock verifies that //scap:hotpath functions and everything they
 // transitively call (over static call edges) never block: no channel
 // sends or receives, no select without a default case, no range over a
-// channel, no time.Sleep, no sync.WaitGroup.Wait / sync.Cond.Wait, and no
-// calls into syscall/I-O packages (os, net, net/http, syscall). A select
-// with a default case is the sanctioned non-blocking notify idiom and is
-// allowed; goroutines launched with "go" run elsewhere and are not
-// walked. Lock acquisition is hotpathlock's domain and is not re-flagged
-// here.
+// channel, no time.Sleep, no sync.WaitGroup.Wait / sync.Cond.Wait, no
+// sync.Mutex/sync.RWMutex acquisition, and no calls into syscall/I-O
+// packages (os, net, net/http, syscall). A select with a default case is
+// the sanctioned non-blocking notify idiom and is allowed; goroutines
+// launched with "go" run elsewhere and are not walked.
+//
+// Locks count as blocking because the paper's per-packet path shares state
+// through single-writer structures and atomics (per-core engines, SPSC
+// event rings, atomic memory accounting); a mutex on that path — in the
+// marked function or any callee — reintroduces the cross-core
+// serialization the design removes. Audited exceptions carry
+// //scaplint:ignore hotpathblock with a justification.
 var HotPathBlock = &Analyzer{
 	Name:       "hotpathblock",
-	Doc:        "//scap:hotpath functions and their transitive callees must not block (channel ops, blocking select, time.Sleep, syscalls, I/O)",
+	Doc:        "//scap:hotpath functions and their transitive callees must not block (channel ops, blocking select, time.Sleep, mutex acquisition, syscalls, I/O)",
 	RunProgram: runHotPathBlock,
 }
 
@@ -32,12 +38,21 @@ var blockingPkgs = map[string]bool{
 }
 
 // blockingFuncs are individual stdlib functions/methods that park the
-// calling goroutine, keyed by types.Func.FullName.
+// calling goroutine, keyed by types.Func.FullName. Resolving the callee
+// through the type checker covers embedded (promoted) mutexes and leaves
+// look-alike Lock methods on other types alone. The Try forms are listed
+// too: a TryLock that succeeds still serializes the other cores.
 var blockingFuncs = map[string]string{
-	"time.Sleep":             "time.Sleep",
-	"(*sync.WaitGroup).Wait": "sync.WaitGroup.Wait",
-	"(*sync.Cond).Wait":      "sync.Cond.Wait",
-	"(*sync.Once).Do":        "sync.Once.Do", // parks while another goroutine runs the init
+	"time.Sleep":               "time.Sleep",
+	"(*sync.WaitGroup).Wait":   "sync.WaitGroup.Wait",
+	"(*sync.Cond).Wait":        "sync.Cond.Wait",
+	"(*sync.Once).Do":          "sync.Once.Do", // parks while another goroutine runs the init
+	"(*sync.Mutex).Lock":       "sync.Mutex.Lock",
+	"(*sync.Mutex).TryLock":    "sync.Mutex.TryLock",
+	"(*sync.RWMutex).Lock":     "sync.RWMutex.Lock",
+	"(*sync.RWMutex).TryLock":  "sync.RWMutex.TryLock",
+	"(*sync.RWMutex).RLock":    "sync.RWMutex.RLock",
+	"(*sync.RWMutex).TryRLock": "sync.RWMutex.TryRLock",
 }
 
 func runHotPathBlock(prog *Program) []Diagnostic {

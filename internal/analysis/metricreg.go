@@ -10,7 +10,7 @@ import (
 // MetricReg enforces the registration/update split of internal/metrics on
 // the per-packet path: functions marked //scap:hotpath may only touch the
 // metrics package through its atomic fast path (Cell.Add/Inc, Gauge.Set/
-// Add, Histogram.Observe, EventLog.Record, and the Load readers). Metric
+// Add, Histogram.Observe, FlightRecorder.Note, and the Load readers). Metric
 // registration (NewCounter, NewGauge, NewHistogram, ...) and snapshot
 // assembly take the registry mutex and allocate; both belong in setup
 // code, before the capture loop starts.
@@ -21,20 +21,22 @@ var MetricReg = &Analyzer{
 }
 
 // metricsFastPath is the allowlist of metrics-package operations that are
-// a single atomic op (or an edge-triggered event append) and therefore
-// safe on the per-packet path. Note is the flight recorder's fixed-size
-// no-alloc encoder; ObserveEx is Observe plus a best-effort seqlock
-// exemplar write (a few uncontended atomics, never blocking); Nanotime is
-// the alloc-free capture clock.
+// a single atomic op (or a fixed handful of them) and therefore safe on
+// the per-packet path. Put is the seqlock record ring's writer, Note and
+// NoteAt the flight recorder's fixed-size no-alloc encoders over it;
+// ObserveEx is Observe plus a best-effort seqlock exemplar write (a few
+// uncontended atomics, never blocking); Nanotime is the alloc-free capture
+// clock.
 var metricsFastPath = map[string]bool{
 	"Add":       true,
 	"Inc":       true,
 	"Set":       true,
 	"Observe":   true,
 	"ObserveEx": true,
-	"Record":    true,
 	"Load":      true,
 	"Note":      true,
+	"NoteAt":    true,
+	"Put":       true,
 	"Nanotime":  true,
 }
 
@@ -60,7 +62,7 @@ func runMetricReg(p *Package) []Diagnostic {
 				return true
 			}
 			msg := fmt.Sprintf(
-				"%s: call to metrics.%s in a hot path (register metrics and take snapshots at setup; the per-packet path may only use the atomic fast path: Add/Inc/Set/Observe/ObserveEx/Record/Load/Note/Nanotime)",
+				"%s: call to metrics.%s in a hot path (register metrics and take snapshots at setup; the per-packet path may only use the atomic fast path: Add/Inc/Set/Observe/ObserveEx/Load/Note/Put/Nanotime)",
 				fname, callee)
 			if recv == "FlightRecorder" {
 				// Flight-record emission in hot-path code may only use the

@@ -11,7 +11,6 @@ type engine struct {
 	packets *metrics.Cell
 	memUsed *metrics.Gauge
 	batch   *metrics.Histogram
-	events  *metrics.EventLog
 	counter *metrics.Counter
 	flight  *metrics.FlightRecorder
 }
@@ -25,7 +24,6 @@ func setup(cores int) *engine {
 		packets: c.Cell(0),
 		memUsed: reg.NewGauge(metrics.Desc{Name: "mem_used", Unit: "bytes"}),
 		batch:   reg.NewHistogram(metrics.Desc{Name: "batch", Unit: "events"}, 8),
-		events:  reg.Events(),
 		counter: c,
 		flight:  reg.Flight(),
 	}
@@ -41,7 +39,6 @@ func (e *engine) FastPath(n uint64) uint64 {
 	e.memUsed.Add(1)
 	e.batch.Observe(0, n)
 	e.batch.ObserveEx(0, n, 7)
-	e.events.Record(metrics.Event{Kind: metrics.EvPPLEnter, Value: int64(n)})
 	e.flight.Note(0, metrics.FlightCutoff, int64(n), 0)
 	e.batch.Observe(0, uint64(metrics.Nanotime()))
 	return e.packets.Load()
@@ -83,8 +80,8 @@ func (e *engine) Cold() uint64 {
 // Audited documents a vetted exception with a justification.
 //
 //scap:hotpath
-func (e *engine) Audited() []metrics.Event {
-	return e.events.Snapshot() //scaplint:ignore metricreg audited: drained only on the shutdown edge
+func (e *engine) Audited() metrics.Snapshot {
+	return e.reg.Snapshot() //scaplint:ignore metricreg audited: taken only on the shutdown edge
 }
 
 // FlightDumpHot decodes the flight-recorder rings on the packet path:

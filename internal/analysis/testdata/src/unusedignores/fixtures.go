@@ -14,14 +14,14 @@ type guarded struct {
 //
 //scap:hotpath
 func (g *guarded) locked() {
-	g.mu.Lock() //scaplint:ignore hotpathlock audited: slow-path fallback taken once per epoch
+	g.mu.Lock() //scaplint:ignore hotpathblock audited: slow-path fallback taken once per epoch
 	g.n++
 	g.mu.Unlock()
 }
 
 // clean triggers nothing, so its directive is stale.
 func (g *guarded) clean() {
-	//scaplint:ignore hotpathlock nothing on this line needs suppressing // want unusedignores "stale //scaplint:ignore hotpathlock"
+	//scaplint:ignore hotpathblock nothing on this line needs suppressing // want unusedignores "stale //scaplint:ignore hotpathblock"
 	g.n--
 }
 
@@ -34,11 +34,11 @@ func (g *guarded) bare() {
 
 //scap:hotpath
 func (g *guarded) unjustified() {
-	g.mu.Lock() //scaplint:ignore hotpathlock // want unusedignores "no justification"
+	g.mu.Lock() //scaplint:ignore hotpathblock // want unusedignores "no justification"
 	g.n++
 	g.mu.Unlock()
 }
 
 func (g *guarded) typo() {
-	g.n-- //scaplint:ignore hotpathlok misspelled analyzer name // want unusedignores "unknown analyzer \"hotpathlok\""
+	g.n-- //scaplint:ignore hotpathblok misspelled analyzer name // want unusedignores "unknown analyzer \"hotpathblok\""
 }

@@ -7,7 +7,7 @@ import "testing"
 // against the fixture's want comments.
 func TestUnusedIgnores(t *testing.T) {
 	_, pkg := loadFixtures(t, "unusedignores")
-	res := Run([]*Package{pkg}, []*Analyzer{HotPathLock})
+	res := Run([]*Package{pkg}, []*Analyzer{HotPathBlock})
 	matchWants(t, pkg, UnusedIgnoreDiagnostics(res, All()))
 
 	// The healthy directive (named analyzer, justified, fired) must be
@@ -21,7 +21,7 @@ func TestUnusedIgnores(t *testing.T) {
 	if healthy == nil {
 		t.Fatal("healthy directive not collected")
 	}
-	if !healthy.Used || healthy.Analyzer != "hotpathlock" {
+	if !healthy.Used || healthy.Analyzer != "hotpathblock" {
 		t.Errorf("healthy directive misparsed: %+v", healthy)
 	}
 }

@@ -91,6 +91,7 @@ func (q *ctrlQueue) push(c Ctrl) {
 //
 //scap:onlyrole engine
 func (q *ctrlQueue) drain(buf []Ctrl) []Ctrl {
+	//scaplint:ignore hotpathblock audited: taken once per frame batch, not per packet, and contended only while a worker posts a control message; the critical section is a slice swap
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if len(q.msgs) == 0 {

@@ -1005,11 +1005,6 @@ func (e *Engine) flushEvents() {
 	n := e.q.PushBatch(e.evBuf)
 	e.m.eventBatch.Observe(e.coreID, uint64(n))
 	if lost := len(e.evBuf) - n; lost > 0 {
-		e.m.events.Record(metrics.Event{
-			Kind:  metrics.EvEventRingOverflow,
-			Core:  e.coreID,
-			Value: int64(lost),
-		})
 		e.m.flight.Note(e.coreID, metrics.FlightRingOverflow, int64(lost), 0)
 	}
 	for i := n; i < len(e.evBuf); i++ {
@@ -1091,7 +1086,6 @@ func (e *Engine) installFDIR(s *flowtab.Stream, x *streamExt) {
 	}
 	s.HWFilter = true
 	e.c.fdirInstalled.Add(1)
-	e.m.events.Record(metrics.Event{Kind: metrics.EvFDIRInstall, Core: e.coreID, Value: int64(s.ID)})
 	e.m.flight.Note(e.coreID, metrics.FlightFDIRInstall, int64(s.ID), 0)
 	e.janomaly(s, x, streamscope.AnomFDIR, streamscope.EvFDIRInstall, int64(s.ID), 0)
 	heap.Push(&e.filters, filterEntry{deadline: deadline, key: s.Key, id: s.ID})
@@ -1121,7 +1115,6 @@ func (e *Engine) removeFDIR(s *flowtab.Stream) {
 		e.nicDev.RemoveFilters(s.Key, false)
 		s.HWFilter = false
 		e.c.fdirRemoved.Add(1)
-		e.m.events.Record(metrics.Event{Kind: metrics.EvFDIRRemove, Core: e.coreID, Value: int64(s.ID)})
 		e.m.flight.Note(e.coreID, metrics.FlightFDIRRemove, int64(s.ID), 0)
 	}
 }
@@ -1280,7 +1273,7 @@ func (e *Engine) expireFilters(now int64) {
 		if e.nicDev != nil {
 			if removed := e.nicDev.RemoveFilters(fe.key, false); removed > 0 {
 				e.c.fdirRemoved.Add(1)
-				e.m.events.Record(metrics.Event{Kind: metrics.EvFDIRRemove, Core: e.coreID, Value: int64(fe.id)})
+				e.m.flight.Note(e.coreID, metrics.FlightFDIRRemove, int64(fe.id), 0)
 			}
 		}
 		if s := e.table.Lookup(fe.key); s != nil && s.ID == fe.id {
@@ -1337,7 +1330,7 @@ func (e *Engine) installSketchFDIR(now int64) {
 		}
 		hf.FDIR = true
 		e.c.fdirInstalled.Add(1)
-		e.m.events.Record(metrics.Event{Kind: metrics.EvFDIRInstall, Core: e.coreID, Value: 0})
+		e.m.flight.Note(e.coreID, metrics.FlightFDIRInstall, 0, 0)
 		// id 0 never matches a stream ID, marking the entry sketch-owned.
 		heap.Push(&e.filters, filterEntry{deadline: deadline, key: hf.Key, id: 0})
 		e.sketchFDIRLive++

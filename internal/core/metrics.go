@@ -76,7 +76,6 @@ type Metrics struct {
 	stageIngest *metrics.Histogram
 	stageRing   *metrics.Histogram
 
-	events *metrics.EventLog
 	flight *metrics.FlightRecorder
 }
 
@@ -135,7 +134,6 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 	m.chunkBytes = reg.NewHistogram(d("chunk_bytes", "delivered chunk sizes", "bytes", "Table 1 scap_set_chunk_size"), 20)
 	m.stageIngest = reg.NewHistogram(d("stage_ingest_engine_ns", "latency from NIC ingest stamp to kernel-goroutine pickup", "ns", ""), stageMaxPow)
 	m.stageRing = reg.NewHistogram(d("stage_engine_ring_ns", "latency from kernel-goroutine batch entry to event-ring publish", "ns", ""), stageMaxPow)
-	m.events = reg.Events()
 	m.flight = reg.Flight()
 	return m
 }

@@ -6,6 +6,7 @@ import (
 
 	"scap/internal/event"
 	"scap/internal/flowtab"
+	"scap/internal/metrics"
 	"scap/internal/nic"
 	"scap/internal/pkt"
 )
@@ -139,6 +140,25 @@ func TestSketchRetirementHandsFiltersToSketch(t *testing.T) {
 	}
 	if !marked {
 		t.Error("snapshot missing FDIR-marked heavy entry for the retired flow")
+	}
+
+	// Every install and removal the counters saw — the record's own install,
+	// the deadline removal, the sketch-owned install — is also a flight
+	// record: /debug/flight and the /metrics events array report filter
+	// churn from those.
+	st := h.e.Stats()
+	var installs, removes uint64
+	for _, r := range h.e.m.flight.Snapshot() {
+		switch r.Kind {
+		case metrics.FlightFDIRInstall:
+			installs++
+		case metrics.FlightFDIRRemove:
+			removes++
+		}
+	}
+	if st.FDIRRemoved == 0 || installs != st.FDIRInstalled || removes != st.FDIRRemoved {
+		t.Errorf("flight records: %d fdir_install, %d fdir_remove; counters: %d installed, %d removed",
+			installs, removes, st.FDIRInstalled, st.FDIRRemoved)
 	}
 }
 

@@ -222,6 +222,7 @@ func (a *arena) seg(idx int32) *segment {
 }
 
 func (a *arena) growSeg(si int) *segment {
+	//scaplint:ignore hotpathblock audited: lazy segment commit, reached once per segment on first touch; seg's atomic load answers every later lookup
 	a.segMu.Lock()
 	defer a.segMu.Unlock()
 	if s := a.segs[si].Load(); s != nil {

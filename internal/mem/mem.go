@@ -112,11 +112,11 @@ type Manager struct {
 	droppedNoMemory atomic.Uint64
 	highWater       atomic.Int64
 
-	// events (set once by PublishMetrics, before capture starts) receives
-	// the PPL pressure-episode edges; underPPL and pplSince detect them.
-	// Only the first drop of an episode and the release that ends it pay
-	// more than one atomic load.
-	events   atomic.Pointer[metrics.EventLog]
+	// underPPL is the open-episode flag: set by the first drop after calm,
+	// cleared by the release that takes usage back below the base threshold.
+	// Only those two edges pay more than one atomic load. flight (set once
+	// by PublishMetrics, before capture starts) records them; pplSince is
+	// the open episode's start on the recorder's clock.
 	flight   atomic.Pointer[metrics.FlightRecorder]
 	underPPL atomic.Bool
 	pplSince atomic.Int64
@@ -364,21 +364,13 @@ func (m *Manager) countDrop(d Decision) {
 // pplEnter opens a pressure episode on the first drop after calm. The CAS
 // makes the edge fire once even with every core dropping concurrently.
 func (m *Manager) pplEnter() {
-	l := m.events.Load()
-	if l == nil || !m.underPPL.CompareAndSwap(false, true) {
+	if !m.underPPL.CompareAndSwap(false, true) {
 		return
 	}
-	ts := l.Now()
-	m.pplSince.Store(ts)
-	cfg := m.cfg.Load()
-	perMille := m.used.Load() * 1000 / cfg.Size
-	l.Record(metrics.Event{
-		Kind:         metrics.EvPPLEnter,
-		TimeUnixNano: ts,
-		Value:        perMille,
-	})
 	if f := m.flight.Load(); f != nil {
-		f.Note(0, metrics.FlightPPLEnter, perMille, 0)
+		ts := f.Now()
+		m.pplSince.Store(ts)
+		f.NoteAt(0, metrics.FlightPPLEnter, ts, m.used.Load()*1000/m.cfg.Load().Size, 0)
 	}
 }
 
@@ -389,15 +381,12 @@ func (m *Manager) pplExitCheck(used int64) {
 	if float64(used) >= cfg.BaseThreshold*float64(cfg.Size) {
 		return
 	}
-	l := m.events.Load()
-	if l == nil || !m.underPPL.CompareAndSwap(true, false) {
+	if !m.underPPL.CompareAndSwap(true, false) {
 		return
 	}
-	ts := l.Now()
-	dur := ts - m.pplSince.Load()
-	l.Record(metrics.Event{Kind: metrics.EvPPLExit, TimeUnixNano: ts, Dur: dur})
 	if f := m.flight.Load(); f != nil {
-		f.Note(0, metrics.FlightPPLExit, dur, 0)
+		ts := f.Now()
+		f.NoteAt(0, metrics.FlightPPLExit, ts, ts-m.pplSince.Load(), 0)
 	}
 }
 
@@ -448,8 +437,8 @@ func (m *Manager) Release(size int) {
 
 // PublishMetrics registers the manager's accounting in reg as func-backed
 // instruments reading the existing atomics (no double bookkeeping) and
-// routes PPL pressure-episode events to the registry's event log. Call once
-// per registry, before capture starts.
+// routes PPL pressure-episode edges to the registry's flight recorder. Call
+// once per registry, before capture starts.
 func (m *Manager) PublishMetrics(reg *metrics.Registry) {
 	reg.NewCounterFunc(metrics.Desc{Name: "mem_admitted_total", Help: "packet admissions by PPL", Unit: "packets", Paper: "§2.2"}, m.admitted.Load)
 	reg.NewCounterFunc(metrics.Desc{Name: "mem_dropped_priority_total", Help: "admissions refused above a priority watermark", Unit: "packets", Paper: "Fig. 9 PPL drops"}, m.droppedPriority.Load)
@@ -472,6 +461,5 @@ func (m *Manager) PublishMetrics(reg *metrics.Registry) {
 			Unit: "blocks", Paper: "§2.2 memory blocks",
 		}, func() int64 { return int64(c.depth.Load()) + c.ringDepth() })
 	}
-	m.events.Store(reg.Events())
 	m.flight.Store(reg.Flight())
 }

@@ -3,6 +3,8 @@ package mem
 import (
 	"math/rand"
 	"testing"
+
+	"scap/internal/metrics"
 )
 
 func TestAdmitBelowBaseThreshold(t *testing.T) {
@@ -79,9 +81,43 @@ func TestReleaseRestoresAdmission(t *testing.T) {
 	if d := m.Admit(0, 0, 50); d != DropPriority {
 		t.Fatalf("expected drop at 95%%, got %v", d)
 	}
+	// The drop opened a pressure episode. No registry is attached: the
+	// episode flag gates behaviour (pressure-only bookkeeping, journal
+	// sampling, the controller's signal), not just telemetry.
+	if !m.UnderPPL() {
+		t.Error("UnderPPL() = false after a PPL drop")
+	}
 	m.Release(600) // back to 30%
+	if m.UnderPPL() {
+		t.Error("UnderPPL() still true after releasing below the base threshold")
+	}
 	if d := m.Admit(0, 0, 50); d != Admit {
 		t.Errorf("post-release decision = %v", d)
+	}
+}
+
+// TestPPLEpisodeFlightRecords: with a registry attached, the episode's two
+// edges are flight records on the registry clock, and the exit carries the
+// time between them.
+func TestPPLEpisodeFlightRecords(t *testing.T) {
+	reg := metrics.NewRegistry(1)
+	clock := int64(1000)
+	reg.SetClock(func() int64 { return clock })
+	m := New(Config{Size: 1000, BaseThreshold: 0.5, Priorities: 2})
+	m.PublishMetrics(reg)
+	m.Reserve(900)
+	m.Admit(0, 0, 50) // dropped at 95%: episode opens
+	clock = 1700
+	m.Release(600) // 30%: episode closes
+	recs := reg.Flight().Snapshot()
+	if len(recs) != 2 {
+		t.Fatalf("flight records = %+v, want ppl_enter and ppl_exit", recs)
+	}
+	if r := recs[0]; r.Kind != metrics.FlightPPLEnter || r.TimeUnixNano != 1000 || r.Value != 900 {
+		t.Errorf("enter = %+v, want ppl_enter at 1000 with 900 per-mille", r)
+	}
+	if r := recs[1]; r.Kind != metrics.FlightPPLExit || r.TimeUnixNano != 1700 || r.Value != 700 {
+		t.Errorf("exit = %+v, want ppl_exit at 1700 lasting 700", r)
 	}
 }
 

@@ -1,25 +1,15 @@
 package metrics
 
-import (
-	"sort"
-	"sync/atomic"
-	"time"
-)
+import "sort"
 
 // The flight recorder is the registry's always-on incident log: a fixed-size
-// per-core ring of compact binary records for notable engine decisions (PPL
+// per-core SeqRing of compact binary records for notable engine decisions (PPL
 // transitions, cutoff truncation, FDIR churn, ring overflow, arena fallback,
-// stream churn under pressure). Unlike the EventLog it is written from
-// //scap:hotpath code, so the write path — Note — is a handful of atomic
-// stores on a pre-claimed slot: no locks, no allocation, no formatting.
-// Readers reconstruct a best-effort timeline on demand (/debug/flight), and
-// can export it as Chrome trace-event JSON for chrome://tracing / Perfetto.
-//
-// Each slot is a seqlock in miniature: the writer claims a per-core sequence
-// number, zeroes the slot's seq, stores the record fields, then publishes the
-// sequence. A reader accepts a slot only when seq reads the same nonzero
-// value before and after copying the fields, so a record torn by a concurrent
-// writer lapping the ring is detected and skipped rather than misreported.
+// stream churn under pressure). It is written from //scap:hotpath code, so the
+// write path — Note — is a claim plus a handful of atomic stores: no locks, no
+// allocation, no formatting. Readers reconstruct a best-effort timeline on
+// demand (/debug/flight, the /metrics events view), and can export it as
+// Chrome trace-event JSON for chrome://tracing / Perfetto.
 
 // FlightKind discriminates flight-recorder records.
 type FlightKind uint8
@@ -29,8 +19,8 @@ const (
 	FlightPPLEnter       FlightKind = iota // memory crossed the PPL watermark; Value = usage per-mille
 	FlightPPLExit                          // pressure released; Value = episode duration (ns)
 	FlightCutoff                           // stream hit its cutoff; Value = stream ID, Aux = captured bytes
-	FlightFDIRInstall                      // hardware drop filter installed; Value = filter ID
-	FlightFDIRRemove                       // hardware filter removed/expired; Value = filter ID
+	FlightFDIRInstall                      // hardware drop filter pair installed; Value = stream ID (0 = sketch-owned)
+	FlightFDIRRemove                       // hardware filter pair removed/expired; Value = stream ID (0 = sketch-owned)
 	FlightFDIRRebalance                    // balancer redirected a flow; Value = from queue, Aux = to queue
 	FlightRingOverflow                     // event ring full, events lost; Value = events lost in the batch
 	FlightNICRingFull                      // NIC ring full episode began; Value = ring capacity
@@ -79,35 +69,20 @@ func (k FlightKind) String() string {
 // slot this is ~48 KiB per core — cheap enough to leave always on.
 const defaultFlightCap = 1024
 
-// flightSlot is one record's storage. Every field is atomic so concurrent
-// writer/reader access is race-free; seq doubles as the publication flag.
-//
-//scap:atomics
-type flightSlot struct {
-	seq  atomic.Uint64 // per-core record sequence (1-based); 0 = empty or being written
-	ts   atomic.Int64  // capture-clock timestamp (unix ns)
-	kind atomic.Uint64
-	val  atomic.Int64
-	aux  atomic.Int64
-}
-
-// flightRing is one core's ring. The cursor sits alone on its cache line so
-// writer claims never contend with neighbouring cores' cursors.
+// flightRing is one core's ring. The leading pad keeps each ring's cursor off
+// its neighbours' cache lines, so writer claims never contend across cores.
 //
 //scap:atomics
 type flightRing struct {
-	_     [64]byte
-	next  atomic.Uint64 // records ever claimed on this ring
-	_     [64]byte
-	slots []flightSlot
+	_    [64]byte
+	ring SeqRing
 }
 
 // FlightRecorder is the per-core flight-recorder ring set of one registry.
-// Note is the only method legal in //scap:hotpath code (the metricreg
-// analyzer enforces this); Snapshot/Dump/Total are cold read paths.
+// Note and NoteAt are the only methods legal in //scap:hotpath code (the
+// metricreg analyzer enforces this); Snapshot/Dump/Total are cold read paths.
 type FlightRecorder struct {
 	rings []flightRing
-	mask  uint64
 	now   *func() int64
 }
 
@@ -118,36 +93,38 @@ func newFlightRecorder(cores, capacity int, now *func() int64) *FlightRecorder {
 	if capacity < 2 || capacity&(capacity-1) != 0 {
 		capacity = defaultFlightCap
 	}
-	f := &FlightRecorder{
-		rings: make([]flightRing, cores),
-		mask:  uint64(capacity - 1),
-		now:   now,
-	}
+	f := &FlightRecorder{rings: make([]flightRing, cores), now: now}
 	for i := range f.rings {
-		f.rings[i].slots = make([]flightSlot, capacity)
+		f.rings[i].ring.Init(make([]SeqSlot, capacity))
 	}
 	return f
 }
 
-// Note records one flight record on core's ring, overwriting the oldest slot
-// when the ring is full. It is the fixed-size no-alloc encoder: a claim plus
-// five atomic stores, safe from //scap:hotpath code. An out-of-range core
-// falls back to ring 0.
+// Note records one flight record on core's ring, stamped from the registry
+// clock, overwriting the oldest slot when the ring is full. It is the
+// fixed-size no-alloc encoder, safe from //scap:hotpath code. An
+// out-of-range core falls back to ring 0.
 //
 //scap:hotpath
 func (f *FlightRecorder) Note(core int, kind FlightKind, value, aux int64) {
 	if core < 0 || core >= len(f.rings) {
 		core = 0
 	}
-	r := &f.rings[core]
-	n := r.next.Add(1) // 1-based sequence; slot index is (n-1) & mask
-	s := &r.slots[(n-1)&f.mask]
-	s.seq.Store(0)
-	s.ts.Store((*f.now)())
-	s.kind.Store(uint64(kind))
-	s.val.Store(value)
-	s.aux.Store(aux)
-	s.seq.Store(n)
+	f.rings[core].ring.Put((*f.now)(), uint64(kind), value, aux)
+}
+
+// Now reads the recorder's clock (the registry clock), for callers that keep
+// episode bookkeeping on the same timestamp as the record they NoteAt.
+func (f *FlightRecorder) Now() int64 { return (*f.now)() }
+
+// NoteAt is Note with a timestamp the caller already read from Now.
+//
+//scap:hotpath
+func (f *FlightRecorder) NoteAt(core int, kind FlightKind, ts, value, aux int64) {
+	if core < 0 || core >= len(f.rings) {
+		core = 0
+	}
+	f.rings[core].ring.Put(ts, uint64(kind), value, aux)
 }
 
 // FlightRecord is one decoded flight-recorder record.
@@ -166,32 +143,13 @@ type FlightRecord struct {
 func (f *FlightRecorder) Snapshot() []FlightRecord {
 	var out []FlightRecord
 	for core := range f.rings {
-		r := &f.rings[core]
-		for i := range r.slots {
-			s := &r.slots[i]
-			// A couple of retries ride out a writer mid-store; a slot
-			// being lapped repeatedly is simply dropped.
-			for attempt := 0; attempt < 3; attempt++ {
-				n := s.seq.Load()
-				if n == 0 {
-					break
-				}
-				rec := FlightRecord{
-					Seq:          n,
-					TimeUnixNano: s.ts.Load(),
-					Core:         core,
-					Kind:         FlightKind(s.kind.Load()),
-					Value:        s.val.Load(),
-					Aux:          s.aux.Load(),
-				}
-				if s.seq.Load() != n {
-					continue
-				}
-				rec.KindName = rec.Kind.String()
-				out = append(out, rec)
-				break
-			}
-		}
+		f.rings[core].ring.Read(func(r SeqRecord) {
+			kind := FlightKind(r.Kind)
+			out = append(out, FlightRecord{
+				Seq: r.Seq, TimeUnixNano: r.TS, Core: core,
+				Kind: kind, KindName: kind.String(), Value: r.A, Aux: r.B,
+			})
+		})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].TimeUnixNano != out[j].TimeUnixNano {
@@ -210,7 +168,7 @@ func (f *FlightRecorder) Snapshot() []FlightRecord {
 func (f *FlightRecorder) Total() uint64 {
 	var t uint64
 	for i := range f.rings {
-		t += f.rings[i].next.Load()
+		t += f.rings[i].ring.Claimed()
 	}
 	return t
 }
@@ -229,71 +187,32 @@ func (f *FlightRecorder) Dump() FlightDump {
 	return FlightDump{
 		TimeUnixNano: (*f.now)(),
 		Cores:        len(f.rings),
-		Capacity:     int(f.mask + 1),
+		Capacity:     len(f.rings[0].ring.slots),
 		Total:        f.Total(),
 		Records:      f.Snapshot(),
 	}
 }
 
-// ChromeTraceEvent is one event of the Chrome trace-event format
-// (chrome://tracing, Perfetto). Timestamps and durations are microseconds.
-type ChromeTraceEvent struct {
-	Name  string           `json:"name"`
-	Cat   string           `json:"cat"`
-	Ph    string           `json:"ph"`
-	TS    float64          `json:"ts"`
-	Dur   float64          `json:"dur,omitempty"`
-	PID   int              `json:"pid"`
-	TID   int              `json:"tid"`
-	Scope string           `json:"s,omitempty"`
-	Args  map[string]int64 `json:"args,omitempty"`
-}
-
-// ChromeTrace is the JSON-object form of the trace-event format.
-type ChromeTrace struct {
-	TraceEvents     []ChromeTraceEvent `json:"traceEvents"`
-	DisplayTimeUnit string             `json:"displayTimeUnit"`
-}
-
 // ChromeTraceFromRecords converts flight records into a Chrome trace.
 // Timestamps are rebased to the earliest record; each core becomes a thread
-// (tid). Episode-closing kinds that carry a duration (PPL exit) become
-// complete ("X") events spanning the episode; everything else is an instant
-// ("i") event with the record's payload in args.
+// (tid). A PPL exit carries its episode's duration and spans the episode;
+// everything else is an instant event with the record's payload in args.
 func ChromeTraceFromRecords(recs []FlightRecord) ChromeTrace {
-	tr := ChromeTrace{DisplayTimeUnit: "ms", TraceEvents: []ChromeTraceEvent{}}
+	tr := NewChromeTrace()
 	if len(recs) == 0 {
 		return tr
 	}
 	base := recs[0].TimeUnixNano
 	for _, r := range recs {
-		if r.TimeUnixNano < base {
-			base = r.TimeUnixNano
-		}
+		base = min(base, r.TimeUnixNano)
 	}
-	usec := func(ns int64) float64 { return float64(ns) / float64(time.Microsecond) }
 	for _, r := range recs {
-		ev := ChromeTraceEvent{
-			Name: r.KindName,
-			Cat:  "flight",
-			TID:  r.Core,
-			Args: map[string]int64{"value": r.Value, "aux": r.Aux, "seq": int64(r.Seq)},
+		var span int64
+		if r.Kind == FlightPPLExit {
+			span = r.Value
 		}
-		if r.Kind == FlightPPLExit && r.Value > 0 {
-			// Value is the episode duration: render the whole episode as a
-			// complete event ending at the record's timestamp.
-			ev.Ph = "X"
-			ev.TS = usec(r.TimeUnixNano - base - r.Value)
-			if ev.TS < 0 {
-				ev.TS = 0
-			}
-			ev.Dur = usec(r.Value)
-		} else {
-			ev.Ph = "i"
-			ev.Scope = "t"
-			ev.TS = usec(r.TimeUnixNano - base)
-		}
-		tr.TraceEvents = append(tr.TraceEvents, ev)
+		tr.Add(r.KindName, "flight", r.Core, r.TimeUnixNano-base, span,
+			map[string]any{"value": r.Value, "aux": r.Aux, "seq": int64(r.Seq)})
 	}
 	return tr
 }

@@ -110,7 +110,7 @@ func (h *History) Stop() {
 // Tick takes one sample immediately. The ticker goroutine calls it each
 // interval; tests call it directly for deterministic histories.
 func (h *History) Tick() {
-	p := h.win.Collect()
+	p := h.win.collectRates()
 	pt := HistoryPoint{
 		TimeUnixNano:  p.TimeUnixNano,
 		WindowSeconds: p.WindowSeconds,

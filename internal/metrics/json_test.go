@@ -31,7 +31,7 @@ func goldenPayload() Payload {
 	h.Observe(0, 1)
 	h.Observe(1, 3)
 	h.Observe(0, 9)
-	r.Events().Record(Event{Kind: EvPPLEnter, Core: 1, Value: 850})
+	r.Flight().Note(1, FlightPPLEnter, 850, 0)
 	clock += 1_000_000_000
 	return w.Collect()
 }

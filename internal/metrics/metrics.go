@@ -175,7 +175,6 @@ type Registry struct {
 	gauges   []*Gauge
 	fgs      []*funcGauge
 	hists    []*Histogram
-	events   *EventLog
 	flight   *FlightRecorder
 }
 
@@ -194,7 +193,6 @@ func NewRegistry(cores int) *Registry {
 	for i := range r.slabs {
 		r.slabs[i] = make([]Cell, slabSlots)
 	}
-	r.events = newEventLog(defaultEventCap, &r.now)
 	r.flight = newFlightRecorder(cores, defaultFlightCap, &r.now)
 	return r
 }
@@ -283,9 +281,6 @@ func (r *Registry) NewHistogram(d Desc, maxPow int) *Histogram {
 	return h
 }
 
-// Events returns the registry's overload event log.
-func (r *Registry) Events() *EventLog { return r.events }
-
 // Flight returns the registry's flight recorder. Bind it once at setup; the
 // only method safe on the per-packet path is FlightRecorder.Note.
 func (r *Registry) Flight() *FlightRecorder { return r.flight }
@@ -312,11 +307,10 @@ type Snapshot struct {
 	Counters     []CounterSnap   `json:"counters"`
 	Gauges       []GaugeSnap     `json:"gauges"`
 	Histograms   []HistogramSnap `json:"histograms"`
-	Events       []Event         `json:"events"`
 }
 
 // Snapshot collects the current value of every metric, in registration
-// order, plus the buffered overload events (oldest first).
+// order.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -345,7 +339,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for _, h := range r.hists {
 		s.Histograms = append(s.Histograms, h.snapshot())
 	}
-	s.Events = r.events.Snapshot()
 	return s
 }
 

@@ -38,8 +38,8 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 	r.NewGauge(Desc{Name: "x"})
 }
 
-// TestRegistryConcurrency hammers cells, gauges, histograms, and the event
-// log from many goroutines while another takes snapshots; the -race run is
+// TestRegistryConcurrency hammers cells, gauges, histograms, and the flight
+// recorder from many goroutines while another takes snapshots; the -race run is
 // the real assertion.
 func TestRegistryConcurrency(t *testing.T) {
 	const cores = 4
@@ -59,7 +59,7 @@ func TestRegistryConcurrency(t *testing.T) {
 				g.Add(1)
 				h.Observe(core, uint64(i%300))
 				if i%512 == 0 {
-					r.Events().Record(Event{Kind: EvRingFull, Core: core})
+					r.Flight().Note(core, FlightNICRingFull, 0, 0)
 				}
 			}
 		}(core)
@@ -116,46 +116,65 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestEventLogWraparound(t *testing.T) {
-	clock := int64(0)
-	now := func() int64 { clock++; return clock }
-	l := newEventLog(4, &now)
-	for i := 0; i < 10; i++ {
-		l.Record(Event{Kind: EvFDIRInstall, Value: int64(i)})
+// TestEventsView pins the /metrics events array as a view of flight records:
+// the seven edge-triggered kinds under their wire names with the right fields,
+// every other kind left out, and only the newest maxEvents kept, oldest first.
+func TestEventsView(t *testing.T) {
+	rec := func(kind FlightKind, ts, value, aux int64) FlightRecord {
+		return FlightRecord{TimeUnixNano: ts, Core: 1, Kind: kind, KindName: kind.String(), Value: value, Aux: aux}
 	}
-	if l.Total() != 10 {
-		t.Fatalf("total = %d, want 10", l.Total())
+	cases := []struct {
+		kind FlightKind
+		want Event // KindName "" = not in the view
+	}{
+		{FlightPPLEnter, Event{KindName: "ppl_enter", Value: 7}},
+		{FlightPPLExit, Event{KindName: "ppl_exit", Dur: 7}},
+		{FlightNICRingFull, Event{KindName: "ring_full"}},
+		{FlightNICRingRecover, Event{KindName: "ring_full_end", Value: 7, Dur: 9}},
+		{FlightRingOverflow, Event{KindName: "event_ring_overflow", Value: 7}},
+		{FlightFDIRInstall, Event{KindName: "fdir_install", Value: 7}},
+		{FlightFDIRRemove, Event{KindName: "fdir_remove", Value: 7}},
+		{FlightCutoff, Event{}},
+		{FlightFDIRRebalance, Event{}},
+		{FlightArenaFallback, Event{}},
+		{FlightStreamCreate, Event{}},
+		{FlightStreamExpire, Event{}},
+		{FlightCtlTighten, Event{}},
+		{FlightCtlRelax, Event{}},
+		{FlightCtlFDIRBudget, Event{}},
+		{FlightCtlWatermarks, Event{}},
 	}
-	evs := l.Snapshot()
-	if len(evs) != 4 {
-		t.Fatalf("snapshot len = %d, want 4", len(evs))
+	if len(cases) != len(flightKindNames) {
+		t.Fatalf("table covers %d flight kinds, the recorder has %d", len(cases), len(flightKindNames))
 	}
-	for i, e := range evs {
-		if want := int64(6 + i); e.Value != want {
-			t.Fatalf("event %d value = %d, want %d (oldest-first order)", i, e.Value, want)
+	for _, c := range cases {
+		got := eventsView([]FlightRecord{rec(c.kind, 100, 7, 9)})
+		if c.want.KindName == "" {
+			if got == nil || len(got) != 0 {
+				t.Errorf("%s: view = %+v, want empty and non-nil", c.kind, got)
+			}
+			continue
 		}
-		if e.KindName != "fdir_install" {
-			t.Fatalf("kind name = %q", e.KindName)
-		}
-		if e.TimeUnixNano == 0 {
-			t.Fatal("event not timestamped")
+		c.want.TimeUnixNano, c.want.Core = 100, 1
+		if len(got) != 1 || got[0] != c.want {
+			t.Errorf("%s: view = %+v, want [%+v]", c.kind, got, c.want)
 		}
 	}
-}
 
-func TestEventKindStrings(t *testing.T) {
-	kinds := []EventKind{EvPPLEnter, EvPPLExit, EvRingFull, EvRingFullEnd,
-		EvEventRingOverflow, EvFDIRInstall, EvFDIRRemove}
-	seen := map[string]bool{}
-	for _, k := range kinds {
-		s := k.String()
-		if s == "" || s == "unknown" || seen[s] {
-			t.Fatalf("kind %d has bad or duplicate name %q", k, s)
-		}
-		seen[s] = true
+	// More matching records than the view keeps, interleaved with a kind it
+	// leaves out: the newest maxEvents survive, in time order.
+	var recs []FlightRecord
+	for i := int64(0); i < maxEvents+10; i++ {
+		recs = append(recs, rec(FlightFDIRInstall, 2*i, i, 0), rec(FlightCutoff, 2*i+1, i, 0))
 	}
-	if EventKind(200).String() != "unknown" {
-		t.Fatal("out-of-range kind should stringify as unknown")
+	got := eventsView(recs)
+	if len(got) != maxEvents {
+		t.Fatalf("view kept %d events, want %d", len(got), maxEvents)
+	}
+	for i, e := range got {
+		if want := int64(10 + i); e.KindName != "fdir_install" || e.Value != want || e.TimeUnixNano != 2*want {
+			t.Fatalf("event %d = %+v, want fdir_install value %d (newest %d, oldest first)", i, e, want, maxEvents)
+		}
 	}
 }
 

@@ -22,9 +22,18 @@ func NewWindow(reg *Registry) *Window { return &Window{reg: reg} }
 
 // Collect snapshots the registry and returns the payload with per-counter
 // rates (and per-core rates) computed over the time since the previous
-// Collect. Safe for concurrent use; concurrent callers serialize and each
-// diff is against the immediately preceding snapshot.
+// Collect, plus the events view of the flight recorder. Safe for concurrent
+// use; concurrent callers serialize and each diff is against the immediately
+// preceding snapshot.
 func (w *Window) Collect() Payload {
+	p := w.collectRates()
+	p.Events = eventsView(w.reg.Flight().Snapshot())
+	return p
+}
+
+// collectRates is Collect without the events view, for the history ring,
+// which keeps no events and should not decode the flight rings every tick.
+func (w *Window) collectRates() Payload {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	cur := w.reg.Snapshot()
@@ -33,7 +42,6 @@ func (w *Window) Collect() Payload {
 		Cores:        w.reg.Cores(),
 		Gauges:       cur.Gauges,
 		Histograms:   cur.Histograms,
-		Events:       cur.Events,
 	}
 	var dt float64 // seconds
 	if w.ok && cur.TimeUnixNano > w.prev.TimeUnixNano {

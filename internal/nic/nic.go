@@ -144,15 +144,13 @@ type NIC struct {
 	// scratch is guarded by mu.
 	scratch pkt.Packet
 
-	// events (nil until PublishMetrics) receives ring-full episodes;
-	// fullSince and fullDrops track each queue's open episode (virtual-time
-	// start and frames dropped so far). All guarded by mu.
-	events    *metrics.EventLog
+	// flight (nil until PublishMetrics) records ring-full episodes and
+	// balancer redirects; fullSince and fullDrops track each queue's open
+	// episode (virtual-time start and frames dropped so far). All guarded by
+	// mu.
+	flight    *metrics.FlightRecorder
 	fullSince []int64
 	fullDrops []uint64
-	// flight (nil until PublishMetrics) records ring-full edges and balancer
-	// redirects; guarded by mu.
-	flight *metrics.FlightRecorder
 	// ringDrops attributes ring-full losses per queue; guarded by mu.
 	ringDrops []uint64
 }
@@ -195,6 +193,7 @@ func (n *NIC) Receive(data []byte, ts int64) int {
 // carried on the enqueued frame; zero means unstamped and disables the
 // ingest→engine latency observation for the frame.
 func (n *NIC) ReceiveAt(data []byte, ts, ingest int64) int {
+	//scaplint:ignore hotpathblock audited: the simulated NIC is one mutex-guarded device standing in for hardware (steering, defrag, filter table, stats); ROADMAP item 2 shards it per queue
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.stats.Received++
@@ -251,30 +250,19 @@ func (n *NIC) ReceiveAt(data []byte, ts, ingest int64) int {
 	if !n.rings[queue].push(Frame{Data: data, TS: ts, Ingest: ingest}) {
 		n.stats.DroppedRing++
 		n.ringDrops[queue]++
-		if n.events != nil {
+		if n.flight != nil {
 			if n.fullSince[queue] == 0 {
 				n.fullSince[queue] = ts
-				n.events.Record(metrics.Event{Kind: metrics.EvRingFull, Core: queue})
-				if n.flight != nil {
-					n.flight.Note(queue, metrics.FlightNICRingFull, int64(len(n.rings[queue].buf)), 0)
-				}
+				n.flight.Note(queue, metrics.FlightNICRingFull, int64(len(n.rings[queue].buf)), 0)
 			}
 			n.fullDrops[queue]++
 		}
 		return -1
 	}
-	if n.events != nil && n.fullSince[queue] != 0 {
+	if n.flight != nil && n.fullSince[queue] != 0 {
 		// The ring accepted a frame again: close the drop episode, with its
 		// duration in virtual time and the frames lost during it.
-		n.events.Record(metrics.Event{
-			Kind:  metrics.EvRingFullEnd,
-			Core:  queue,
-			Dur:   ts - n.fullSince[queue],
-			Value: int64(n.fullDrops[queue]),
-		})
-		if n.flight != nil {
-			n.flight.Note(queue, metrics.FlightNICRingRecover, int64(n.fullDrops[queue]), ts-n.fullSince[queue])
-		}
+		n.flight.Note(queue, metrics.FlightNICRingRecover, int64(n.fullDrops[queue]), ts-n.fullSince[queue])
 		n.fullSince[queue], n.fullDrops[queue] = 0, 0
 	}
 	if n.rings[queue].n > n.highwater[queue] {
@@ -301,6 +289,7 @@ func (n *NIC) QueueFor(key pkt.FlowKey) int {
 
 // Poll removes and returns the next frame of queue q.
 func (n *NIC) Poll(q int) (Frame, bool) {
+	//scaplint:ignore hotpathblock audited: same simulated-device mutex as ReceiveAt, held for one ring pop; ROADMAP item 2 gives each queue its own ring state
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.rings[q].pop()
@@ -393,7 +382,6 @@ func (n *NIC) PublishMetrics(reg *metrics.Registry) {
 	reg.NewCounterFunc(metrics.Desc{Name: "nic_decode_failures_total", Help: "undecodable frames delivered nowhere", Unit: "frames", Paper: ""},
 		field(func(s *Stats) uint64 { return s.DecodeFailures }))
 	n.mu.Lock()
-	n.events = reg.Events()
 	n.flight = reg.Flight()
 	n.mu.Unlock()
 }

@@ -1,8 +1,8 @@
 // Package streamscope keeps sampled per-stream lifecycle journals: a small,
 // fixed pool of alloc-free event rings, one per journaled stream, recording
 // the stream's life (created → first payload → chunk flushes with latencies →
-// gaps/overlaps → cutoff/expiry cause) via the same seqlock-slot discipline
-// as the flight recorder.
+// gaps/overlaps → cutoff/expiry cause) on the same metrics.SeqRing the flight
+// recorder uses.
 //
 // Two populations land in the pool:
 //
@@ -19,8 +19,8 @@
 //
 // The writer side is engine-only: a journal belongs to the engine goroutine
 // that owns its stream (streams never migrate cores), so there is exactly one
-// writer per journal and the write path is a claim plus a handful of atomic
-// stores — no locks, no allocation. Readers (/debug/streams) reconstruct
+// writer per journal and the write path is one SeqRing.Put — no locks, no
+// allocation. Readers (/debug/streams) reconstruct
 // journals best-effort under the generation/sequence protocol and lose at
 // most records that were being overwritten while read.
 package streamscope
@@ -29,6 +29,7 @@ import (
 	"net/netip"
 	"sync/atomic"
 
+	"scap/internal/metrics"
 	"scap/internal/pkt"
 )
 
@@ -100,18 +101,6 @@ func AnomalyNames(mask uint64) []string {
 // written once; later events wrap within the remaining ring.
 const slotsPerJournal = 32
 
-// slot is one journal event's storage, a seqlock in miniature exactly like
-// the flight recorder's: seq doubles as the publication flag.
-//
-//scap:atomics
-type slot struct {
-	seq  atomic.Uint64 // per-journal event sequence (1-based); 0 = empty or mid-write
-	ts   atomic.Int64  // capture-clock timestamp (virtual ns)
-	kind atomic.Uint64
-	a    atomic.Int64
-	b    atomic.Int64
-}
-
 // Journal is one stream's event ring plus its identity. Identity fields are
 // guarded by gen (a journal-level seqlock): Acquire bumps gen to an odd value,
 // rewrites identity, then publishes the next even value. The engine keeps the
@@ -131,8 +120,10 @@ type Journal struct {
 	created      atomic.Int64  // stream creation timestamp (virtual ns)
 	anom         atomic.Uint64 // anomaly bitmask; nonzero pins the journal
 	sampled      atomic.Uint64 // 1 = picked by the sampler, 0 = anomaly promotion
-	next         atomic.Uint64 // events ever claimed on this journal
-	slots        [slotsPerJournal]slot
+	ring         metrics.SeqRing
+	// slots is ring's storage, inline so a pool is one allocation and Acquire
+	// none; New binds it.
+	slots [slotsPerJournal]metrics.SeqSlot
 }
 
 // Gen returns the journal's current identity generation (even when stable).
@@ -141,19 +132,12 @@ func (j *Journal) Gen() uint64 { return j.gen.Load() }
 // Anomalous reports whether the journal's stream has hit any anomaly.
 func (j *Journal) Anomalous() bool { return j.anom.Load() != 0 }
 
-// Note records one event: a claim plus a handful of atomic stores on a
-// pre-claimed slot. Caller must be the journal's owning engine goroutine.
+// Note records one event. Caller must be the journal's owning engine
+// goroutine.
 //
 //scap:hotpath
 func (j *Journal) Note(kind EventKind, ts int64, a, b int64) {
-	n := j.next.Add(1) // 1-based sequence; slot index is (n-1) & mask
-	s := &j.slots[(n-1)&(slotsPerJournal-1)]
-	s.seq.Store(0)
-	s.ts.Store(ts)
-	s.kind.Store(uint64(kind))
-	s.a.Store(a)
-	s.b.Store(b)
-	s.seq.Store(n)
+	j.ring.Put(ts, uint64(kind), a, b)
 }
 
 // NoteAnomaly sets an anomaly bit and records the matching event. The
@@ -276,7 +260,11 @@ func New(o Options) *Scope {
 		now:       now,
 	}
 	for i := range s.pools {
-		s.pools[i].journals = make([]Journal, jpc)
+		js := make([]Journal, jpc)
+		for k := range js {
+			js[k].ring.Init(js[k].slots[:])
+		}
+		s.pools[i].journals = js
 	}
 	s.rateShift.Store(base)
 	return s
@@ -349,10 +337,7 @@ func (s *Scope) Acquire(core int, b Binding) (*Journal, uint64) {
 	} else {
 		j.sampled.Store(0)
 	}
-	j.next.Store(0)
-	for i := range j.slots {
-		j.slots[i].seq.Store(0)
-	}
+	j.ring.Reset()
 	gen := j.gen.Add(1) // even: published
 	return j, gen
 }
@@ -446,7 +431,7 @@ func snapJournal(j *Journal, core, idx int) (JournalSnap, bool) {
 			CreatedNano: j.created.Load(),
 			Sampled:     j.sampled.Load() == 1,
 			AnomalyMask: j.anom.Load(),
-			TotalEvents: j.next.Load(),
+			TotalEvents: j.ring.Claimed(),
 		}
 		meta := j.meta.Load()
 		var src, dst [16]byte
@@ -463,28 +448,12 @@ func snapJournal(j *Journal, core, idx int) (JournalSnap, bool) {
 		js.Priority = int(meta&0xffff) - 1
 		js.Anomalies = AnomalyNames(js.AnomalyMask)
 
-		for i := range j.slots {
-			sl := &j.slots[i]
-			for sa := 0; sa < 3; sa++ {
-				n := sl.seq.Load()
-				if n == 0 {
-					break
-				}
-				ev := JournalEvent{
-					Seq:          n,
-					TimeUnixNano: sl.ts.Load(),
-					Kind:         EventKind(sl.kind.Load()),
-					A:            sl.a.Load(),
-					B:            sl.b.Load(),
-				}
-				if sl.seq.Load() != n {
-					continue
-				}
-				ev.KindName = ev.Kind.String()
-				js.Events = append(js.Events, ev)
-				break
-			}
-		}
+		j.ring.Read(func(r metrics.SeqRecord) {
+			kind := EventKind(r.Kind)
+			js.Events = append(js.Events, JournalEvent{
+				Seq: r.Seq, TimeUnixNano: r.TS, Kind: kind, KindName: kind.String(), A: r.A, B: r.B,
+			})
+		})
 		if j.gen.Load() != g {
 			continue
 		}

@@ -1,7 +1,9 @@
 package streamscope
 
 import (
+	"encoding/json"
 	"net/netip"
+	"os"
 	"testing"
 
 	"scap/internal/pkt"
@@ -209,6 +211,21 @@ func TestChromeTrace(t *testing.T) {
 	j.NoteAnomaly(AnomCutoff, EvCutoff, 6000, 4096, 9000)
 
 	tr := ChromeTrace(s.Snapshot())
+
+	// Byte golden of the /debug/streams?format=chrome payload, so a change to
+	// the shared exporter that Perfetto would notice shows up as a diff here.
+	got, err := json.Marshal(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/chrome.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got)+"\n" != string(want) {
+		t.Errorf("chrome export drifted from testdata/chrome.golden:\n got: %s\nwant: %s", got, want)
+	}
+
 	if tr.DisplayTimeUnit != "ms" {
 		t.Fatalf("DisplayTimeUnit = %q", tr.DisplayTimeUnit)
 	}

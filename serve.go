@@ -56,6 +56,15 @@ func allowGet(next http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// writeJSON answers a request with v as indented JSON. An encode error means
+// the client went away mid-response; there is no one left to report it to.
+func writeJSON(rw http.ResponseWriter, v any) {
+	rw.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(rw)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
+}
+
 // handleMetrics serves /metrics: the registry as JSON with rates windowed
 // since the previous scrape, or — with ?format=prom — as OpenMetrics text
 // exposition (totals, per-core series, histogram buckets with exemplars).
@@ -67,11 +76,7 @@ func (s *DebugServer) handleMetrics(rw http.ResponseWriter, req *http.Request) {
 		_ = metrics.WriteProm(rw, s.reg.Snapshot())
 		return
 	}
-	p := s.win.Collect()
-	rw.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(rw)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(p)
+	writeJSON(rw, s.win.Collect())
 }
 
 // handleFlight serves /debug/flight: the flight recorder's records as plain
@@ -79,14 +84,11 @@ func (s *DebugServer) handleMetrics(rw http.ResponseWriter, req *http.Request) {
 //
 //scap:goroutine debugserver per-request handler on net/http's connection goroutines
 func (s *DebugServer) handleFlight(rw http.ResponseWriter, req *http.Request) {
-	rw.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(rw)
-	enc.SetIndent("", "  ")
 	if req.URL.Query().Get("format") == "chrome" {
-		_ = enc.Encode(metrics.ChromeTraceFromRecords(s.reg.Flight().Snapshot()))
+		writeJSON(rw, metrics.ChromeTraceFromRecords(s.reg.Flight().Snapshot()))
 		return
 	}
-	_ = enc.Encode(s.reg.Flight().Dump())
+	writeJSON(rw, s.reg.Flight().Dump())
 }
 
 // handleStreams serves /debug/streams: the sampled and anomaly-promoted
@@ -97,18 +99,14 @@ func (s *DebugServer) handleFlight(rw http.ResponseWriter, req *http.Request) {
 //
 //scap:goroutine debugserver per-request handler on net/http's connection goroutines
 func (s *DebugServer) handleStreams(rw http.ResponseWriter, req *http.Request) {
-	rw.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(rw)
-	enc.SetIndent("", "  ")
-	if s.scope == nil {
-		_ = enc.Encode(map[string]bool{"enabled": false})
-		return
+	switch {
+	case s.scope == nil:
+		writeJSON(rw, map[string]bool{"enabled": false})
+	case req.URL.Query().Get("format") == "chrome":
+		writeJSON(rw, streamscope.ChromeTrace(s.scope.Snapshot()))
+	default:
+		writeJSON(rw, s.scope.DumpState())
 	}
-	if req.URL.Query().Get("format") == "chrome" {
-		_ = enc.Encode(streamscope.ChromeTrace(s.scope.Snapshot()))
-		return
-	}
-	_ = enc.Encode(s.scope.DumpState())
 }
 
 // handleHistory serves /debug/history: the bounded ring of periodic metrics
@@ -118,14 +116,11 @@ func (s *DebugServer) handleStreams(rw http.ResponseWriter, req *http.Request) {
 //
 //scap:goroutine debugserver per-request handler on net/http's connection goroutines
 func (s *DebugServer) handleHistory(rw http.ResponseWriter, req *http.Request) {
-	rw.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(rw)
-	enc.SetIndent("", "  ")
 	if s.hist == nil {
-		_ = enc.Encode(map[string]bool{"enabled": false})
+		writeJSON(rw, map[string]bool{"enabled": false})
 		return
 	}
-	_ = enc.Encode(s.hist.Dump())
+	writeJSON(rw, s.hist.Dump())
 }
 
 // handleSketch serves /debug/sketch: each engine's most recently published
@@ -141,10 +136,7 @@ func (s *DebugServer) handleSketch(rw http.ResponseWriter, req *http.Request) {
 			out[i] = sk.Snapshot()
 		}
 	}
-	rw.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(rw)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(out)
+	writeJSON(rw, out)
 }
 
 // handleCtlplane serves /debug/ctlplane: the adaptive controller's last
@@ -155,14 +147,11 @@ func (s *DebugServer) handleSketch(rw http.ResponseWriter, req *http.Request) {
 //
 //scap:goroutine debugserver per-request handler on net/http's connection goroutines
 func (s *DebugServer) handleCtlplane(rw http.ResponseWriter, req *http.Request) {
-	rw.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(rw)
-	enc.SetIndent("", "  ")
 	if s.ctl == nil {
-		_ = enc.Encode(&ctlplane.Snapshot{Enabled: false, Mode: "disabled", DynCutoff: -1, FDIRBudget: -1})
+		writeJSON(rw, &ctlplane.Snapshot{Enabled: false, Mode: "disabled", DynCutoff: -1, FDIRBudget: -1})
 		return
 	}
-	_ = enc.Encode(s.ctl.Snapshot())
+	writeJSON(rw, s.ctl.Snapshot())
 }
 
 // Serve starts a debug HTTP server for the socket on addr (host:port; use
@@ -171,7 +160,8 @@ func (s *DebugServer) handleCtlplane(rw http.ResponseWriter, req *http.Request) 
 //   - /metrics — the metrics registry as JSON: every counter with its total
 //     and per-core values, per-second rates windowed between scrapes,
 //     gauges, histograms with exemplars, and the recent overload events
-//     (PPL pressure episodes, ring-full episodes, FDIR churn).
+//     (PPL pressure episodes, ring-full episodes, FDIR churn — a view of
+//     the flight recorder's records).
 //     /metrics?format=prom returns the same registry as OpenMetrics text
 //     exposition for Prometheus-compatible scrapers.
 //   - /debug/flight — the flight recorder's per-core decision records as

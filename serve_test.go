@@ -446,7 +446,7 @@ func TestServeStreamsEndpoint(t *testing.T) {
 		t.Fatalf("cutoff journal has no cutoff event: %+v", cutoffJournal.Events)
 	}
 
-	var tr streamscope.Trace
+	var tr metrics.ChromeTrace
 	if err := json.Unmarshal(getBody(t, "http://"+srv.Addr()+"/debug/streams?format=chrome"), &tr); err != nil {
 		t.Fatalf("parse chrome streams trace: %v", err)
 	}
@@ -588,18 +588,21 @@ func TestServeExemplarSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p, err := metrics.ParsePayload(getBody(t, "http://"+srv.Addr()+"/metrics"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// ReplaySource returns once the frames are injected; chunk sizes are
+	// observed when the worker delivers them, so wait for the first one.
 	var chunk *metrics.HistogramSnap
-	for i := range p.Histograms {
-		if p.Histograms[i].Name == "chunk_bytes" {
-			chunk = &p.Histograms[i]
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		p, err := metrics.ParsePayload(getBody(t, "http://"+srv.Addr()+"/metrics"))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if chunk == nil || chunk.Count == 0 {
-		t.Fatal("chunk_bytes histogram missing or empty")
+		chunk = p.Histogram("chunk_bytes")
+		if chunk != nil && chunk.Count > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("chunk_bytes histogram missing or empty")
+		}
 	}
 	if chunk.Exemplar == nil || chunk.Exemplar.StreamID == 0 || chunk.Exemplar.Value == 0 {
 		t.Fatalf("chunk_bytes exemplar = %+v, want nonzero stream ID", chunk.Exemplar)
