@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short race vet lint loc fmt-check bench-quick bench-flowtab bench-ctlplane serve-smoke flight-smoke ctlplane-smoke streams-smoke vet-live test-live check
+.PHONY: build test test-short race vet lint loc fmt-check bench-quick bench-flowtab bench-harness bench-ctlplane serve-smoke flight-smoke ctlplane-smoke streams-smoke vet-live test-live check
 
 build:
 	$(GO) build ./...
@@ -51,6 +51,17 @@ bench-quick:
 bench-flowtab:
 	$(GO) test -run '^$$' -bench 'BenchmarkLookup1M|BenchmarkLookupMiss' -benchtime 100x -benchmem ./internal/flowtab | tee bench-flowtab.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkInject1MFlows' -benchtime 100x -benchmem . | tee -a bench-flowtab.txt
+
+# bench-harness builds and smoke-runs the repository benchmark. benchmark/ is
+# a nested module, so "go test ./..." at the root never compiles it and
+# nothing else notices when an internal signature it uses changes. The quick
+# run still checks every delivered stream against the harness's reference
+# reassembly and exits non-zero on a mismatch — the end-to-end check that a
+# steering change did not split a connection across queues. Not a
+# measurement.
+bench-harness:
+	cd benchmark && $(GO) test ./...
+	bash benchmark/run.sh -quick
 
 # serve-smoke replays a small trace through a socket with the debug server
 # enabled, scrapes /metrics over HTTP, and asserts nonzero packets_total —

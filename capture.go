@@ -92,6 +92,9 @@ func (c *captureState) kernelLoop(q int) {
 			if n := len(batch); n > 0 {
 				c.noteTS(batch[n-1].TS)
 			}
+			if sim := c.h.sim; sim != nil {
+				sim.Recycle(batch)
+			}
 		case <-ticker.C:
 			eng.CheckTimers(c.currentTS())
 		}
@@ -416,10 +419,11 @@ func (c *captureState) inject(data []byte, ts int64) {
 
 // injectBatch routes a burst of frames: the virtual-clock monotonicity
 // fix-up runs once under injectMu for the whole burst (rewriting
-// timestamps in place), then frames fan out through the simulated NIC
-// into one per-queue batch each, delivered with a single Deliver per
-// queue. Callers must only reach here when the backend is the sim (the
-// public injection APIs gate on ErrNotInjectable).
+// timestamps in place), then the simulated NIC steers the burst into one
+// recycled batch per queue, delivered with a single Deliver per queue;
+// kernelLoop hands each batch back when its engine is done. Steady state
+// allocates nothing. Callers must only reach here when the backend is the
+// sim (the public injection APIs gate on ErrNotInjectable).
 func (c *captureState) injectBatch(frames []RawFrame) {
 	if len(frames) == 0 {
 		return
@@ -436,26 +440,40 @@ func (c *captureState) injectBatch(frames []RawFrame) {
 	}
 	c.lastTS = last
 	c.injectMu.Unlock()
-	batches := make([][]nic.Frame, sim.Queues())
+	var stack [stackQueues][]nic.Frame
+	batches := fanOut(&stack, sim.Queues())
 	// One capture-clock read stamps the whole burst: the ingest→engine
 	// latency histogram needs batch granularity, not a syscall per frame.
 	ingest := metrics.Nanotime()
-	for i := range frames {
-		q := sim.ReceiveAt(frames[i].Data, frames[i].TS, ingest)
-		if q < 0 {
-			continue
+	// The NIC steers injectBatchSize frames per lock hold, so an engine
+	// installing a filter never waits behind a longer burst.
+	var in [injectBatchSize]nic.Frame
+	for len(frames) > 0 {
+		n := min(len(frames), len(in))
+		for i, f := range frames[:n] {
+			in[i] = nic.Frame{Data: f.Data, TS: f.TS, Ingest: ingest}
 		}
-		f, ok := sim.Poll(q)
-		if !ok {
-			continue
-		}
-		batches[q] = append(batches[q], f)
+		sim.ReceiveBatch(in[:n], batches)
+		frames = frames[n:]
 	}
 	for q, b := range batches {
 		if len(b) > 0 {
 			sim.Deliver(q, b)
 		}
 	}
+}
+
+// stackQueues is the largest queue count whose fan-out header injectBatch
+// keeps on its stack.
+const stackQueues = 16
+
+// fanOut returns an all-nil batch header with one entry per queue, backed
+// by the caller's stack array when it fits.
+func fanOut(stack *[stackQueues][]nic.Frame, queues int) [][]nic.Frame {
+	if queues <= len(stack) {
+		return stack[:queues]
+	}
+	return make([][]nic.Frame, queues)
 }
 
 // stop flushes everything and joins the goroutines.

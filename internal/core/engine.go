@@ -612,7 +612,8 @@ func (e *Engine) initStream(s *flowtab.Stream, x *streamExt, p *pkt.Packet, h ui
 		e.jbind(s, x, true)
 		e.jnote(x, streamscope.EvCreated, int64(s.Priority), s.Cutoff)
 	}
-	e.push(event.Event{Type: event.Creation, Stream: s, Info: s.Snapshot(0)})
+	e.stage(event.Creation, s, 0)
+	e.staged()
 }
 
 // jbind acquires a journal for s on this engine's pool. sampled=false marks
@@ -928,17 +929,13 @@ func (e *Engine) deliverChunk(s *flowtab.Stream, x *streamExt, last bool) {
 	x.chunksDelivered++
 	e.m.chunkBytes.ObserveEx(e.coreID, uint64(c.fill()), s.ID)
 	e.jnote(x, streamscope.EvChunkFlush, int64(c.fill()), e.now-c.firstTS)
-	ev := event.Event{
-		Type:       event.Data,
-		Stream:     s,
-		Info:       s.Snapshot(x.chunksDelivered),
-		Data:       c.buf,
-		HoleBefore: c.holeBefore,
-		Last:       last,
-		Accounted:  c.accounted(),
-		Pkts:       c.pkts,
-		Block:      c.blk,
-	}
+	ev := e.stage(event.Data, s, x.chunksDelivered)
+	ev.Data = c.buf
+	ev.HoleBefore = c.holeBefore
+	ev.Last = last
+	ev.Accounted = c.accounted()
+	ev.Pkts = c.pkts
+	ev.Block = c.blk
 	prev := c.buf
 	if last {
 		x.chunk = chunkState{}
@@ -951,7 +948,7 @@ func (e *Engine) deliverChunk(s *flowtab.Stream, x *streamExt, last bool) {
 			delete(e.dirty, s)
 		}
 	}
-	e.push(ev)
+	e.staged()
 }
 
 // dropChunk releases an undelivered chunk's memory (discard/termination of
@@ -971,16 +968,32 @@ func (e *Engine) dropChunk(s *flowtab.Stream, x *streamExt) {
 // tables flush incrementally instead of hoarding the whole table's events.
 const evBatchMax = 256
 
-// push stages an event for the next flush.
+// stage claims the next staged-event slot and fills its header and stream
+// snapshot in place; the caller sets any chunk fields through the returned
+// pointer and then calls staged. Building the 320-byte event where it will
+// be flushed from saves a copy of it and one of its Info per event. The
+// slot is all zero on entry: evBuf starts zeroed and flushEvents clears
+// what it used.
 //
 //scap:hotpath
-func (e *Engine) push(ev event.Event) {
+func (e *Engine) stage(typ event.Type, s *flowtab.Stream, chunks uint64) *event.Event {
 	// evBuf is preallocated at evBatchMax and flushed before it would
 	// overflow, so the reslice below stays inside its capacity.
 	n := len(e.evBuf)
 	e.evBuf = e.evBuf[:n+1]
-	e.evBuf[n] = ev
-	if n+1 >= evBatchMax {
+	ev := &e.evBuf[n]
+	ev.Type = typ
+	ev.Stream = s
+	s.SnapshotInto(&ev.Info, chunks)
+	return ev
+}
+
+// staged follows stage once the event's fields are set: the event goes out
+// with the next flush, which is now if the staging area is full.
+//
+//scap:hotpath
+func (e *Engine) staged() {
+	if len(e.evBuf) >= evBatchMax {
 		e.flushEvents()
 	}
 }
@@ -1170,7 +1183,8 @@ func (e *Engine) finishStream(s *flowtab.Stream, status flowtab.Status) {
 	e.removeFDIR(s)
 	e.jnote(x, streamscope.EvClose, int64(status), int64(s.Stats.CapturedBytes))
 	if !x.ignored {
-		e.push(event.Event{Type: event.Termination, Stream: s, Info: s.Snapshot(x.chunksDelivered)})
+		e.stage(event.Termination, s, x.chunksDelivered)
+		e.staged()
 	}
 	delete(e.dirty, s)
 	e.table.Remove(s)

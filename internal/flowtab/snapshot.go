@@ -41,27 +41,34 @@ type Info struct {
 // Snapshot captures the current descriptor state. chunks is the delivered
 // chunk count maintained by the engine.
 func (s *Stream) Snapshot(chunks uint64) Info {
-	info := Info{
-		EstimatedBytes: s.EstimatedBytes(),
-		ID:             s.ID,
-		Key:            s.Key,
-		Dir:            s.Dir,
-		Status:         s.Status,
-		Error:          s.Error,
-		Stats:          s.Stats,
-		Cutoff:         s.Cutoff,
-		Priority:       s.Priority,
-		ChunkSize:      s.ChunkSize,
-		OverlapSize:    s.OverlapSize,
-		FlushTimeout:   s.FlushTimeout,
-		Chunks:         chunks,
-		HWFilter:       s.HWFilter,
-	}
+	var info Info
+	s.SnapshotInto(&info, chunks)
+	return info
+}
+
+// SnapshotInto is Snapshot written through a pointer: the engine fills the
+// Info of a staged event in place instead of building a 224-byte value and
+// copying it there. Every field of *info is overwritten.
+func (s *Stream) SnapshotInto(info *Info, chunks uint64) {
+	info.ID = s.ID
+	info.Key = s.Key
+	info.Dir = s.Dir
+	info.Status = s.Status
+	info.Error = s.Error
+	info.Stats = s.Stats
+	info.Cutoff = s.Cutoff
+	info.Priority = s.Priority
+	info.ChunkSize = s.ChunkSize
+	info.OverlapSize = s.OverlapSize
+	info.FlushTimeout = s.FlushTimeout
+	info.Chunks = chunks
+	info.OppositeID = 0
+	info.HWFilter = s.HWFilter
+	info.EstimatedBytes = s.EstimatedBytes()
 	if s.Asm != nil {
 		info.Error |= s.Asm.Flags()
 	}
 	if s.Opposite != nil {
 		info.OppositeID = s.Opposite.ID
 	}
-	return info
 }

@@ -131,3 +131,105 @@ func TestBalancerDisabledSingleQueue(t *testing.T) {
 		t.Error("balancer active with one queue")
 	}
 }
+
+// TestBalancerForgetsUnclosedConnections is the SYN-flood case: connections
+// that never send RST or a second FIN used to stay in the balancer's table
+// forever, growing it without bound and inflating the per-queue counts
+// every later admission is judged against.
+func TestBalancerForgetsUnclosedConnections(t *testing.T) {
+	// The rings overflow at once and stay full; the balancer runs before the
+	// ring, so the test never polls.
+	n := New(Config{Queues: 4, QueueDepth: 1, DynamicBalance: true, PerfectFilterCap: 64})
+	const flood = 200000
+	scan := func(i int) pkt.FlowKey {
+		return pkt.FlowKey{
+			SrcIP:   netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)}),
+			DstIP:   netip.AddrFrom4([4]byte{192, 168, 0, 1}),
+			SrcPort: uint16(1024 + i%50000), DstPort: 22, Proto: pkt.ProtoTCP,
+		}
+	}
+	ts := int64(1)
+	for i := 0; i < flood; i++ {
+		ts += 1000
+		n.Receive(synFrame(scan(i)), ts)
+	}
+	redirected := 0
+	for _, r := range n.lb.recs {
+		if r.live && r.redirected {
+			redirected++
+		}
+	}
+	if got := len(n.lb.flows); got != flood {
+		t.Fatalf("after the flood the balancer tracks %d connections, want %d", got, flood)
+	}
+	// Past the horizon, a trickle of new SYNs: each admission sweeps a few
+	// old records, so the table drains without any one admission walking it.
+	ts += balanceHorizon
+	const trickle = flood / 2
+	for i := 0; i < trickle; i++ {
+		ts += 1000
+		k := scan(flood + i)
+		n.Receive(synFrame(k), ts)
+		n.Receive(pkt.BuildTCP(pkt.TCPSpec{Key: k, Flags: pkt.FlagRST}), ts)
+	}
+	if got := len(n.lb.flows); got > redirected {
+		t.Errorf("balancer still tracks %d connections after the horizon, want only the %d that own redirect filters", got, redirected)
+	}
+	total := 0
+	for _, c := range n.lb.counts {
+		total += c
+	}
+	if total > redirected {
+		t.Errorf("per-queue counts sum to %d after the flood aged out, want at most %d", total, redirected)
+	}
+	if len(n.lb.recs) > flood+8 {
+		t.Errorf("record slab grew to %d for %d connections", len(n.lb.recs), flood)
+	}
+}
+
+// TestBalancerNeverAgesRedirectedConnection: a redirected connection owns
+// its filter pair, so however long it lives both directions stay on the
+// queue the balancer chose; it goes when the pair leaves the filter table.
+func TestBalancerNeverAgesRedirectedConnection(t *testing.T) {
+	n := New(Config{Queues: 4, DynamicBalance: true})
+	hot := n.QueueFor(flowN(0))
+	var long pkt.FlowKey
+	target := -1
+	ts := int64(1)
+	for i := 0; target < 0; i++ {
+		k := flowN(i)
+		if n.QueueFor(k) != hot {
+			continue
+		}
+		ts += 1000
+		if q := n.Receive(synFrame(k), ts); q != hot {
+			long, target = k, q
+		}
+	}
+	// Far past the horizon, with admissions to drive the sweep all the way
+	// round the table several times.
+	ts += 3 * balanceHorizon
+	for i := 0; i < 2000; i++ {
+		ts += 1000
+		n.Receive(synFrame(flowN(20000+i)), ts)
+	}
+	if q := n.Receive(ackFrame(long, 2), ts+1); q != target {
+		t.Errorf("forward direction on queue %d after the horizon, want redirect queue %d", q, target)
+	}
+	if q := n.Receive(ackFrame(long.Reverse(), 2), ts+2); q != target {
+		t.Errorf("reverse direction on queue %d after the horizon, want redirect queue %d", q, target)
+	}
+	if _, ok := n.lb.flows[canonOf(long)]; !ok {
+		t.Fatal("redirected connection was aged out of the balancer")
+	}
+	// An engine clearing the tuple's filters takes the redirect with it: the
+	// balancer lets go of the connection and removes the pair's other half,
+	// so both directions fall back to RSS together.
+	n.RemoveFilters(long, false)
+	if _, ok := n.lb.flows[canonOf(long)]; ok {
+		t.Error("connection still tracked after its redirect filters were removed")
+	}
+	if q := n.Receive(ackFrame(long.Reverse(), 3), ts+3); q != hot {
+		t.Errorf("reverse direction on queue %d after its pair was removed, want RSS queue %d", q, hot)
+	}
+}

@@ -83,18 +83,26 @@ type confBackendCase struct {
 }
 
 // feedSim drives the sim backend's injection surface the way the capture
-// layer does: steer, poll, deliver, one frame per batch.
+// layer does: steer a burst into per-queue batches, deliver each.
 func feedSim(s *Sim, frames []confFrame) {
-	for _, fr := range frames {
-		q := s.ReceiveAt(fr.data, fr.ts, metrics.Nanotime())
-		if q < 0 {
-			continue
+	const burst = 16
+	in := make([]Frame, 0, burst)
+	out := make([][]Frame, s.Queues())
+	for len(frames) > 0 {
+		n := min(burst, len(frames))
+		ingest := metrics.Nanotime()
+		in = in[:0]
+		for _, fr := range frames[:n] {
+			in = append(in, Frame{Data: fr.data, TS: fr.ts, Ingest: ingest})
 		}
-		f, ok := s.Poll(q)
-		if !ok {
-			continue
+		frames = frames[n:]
+		s.ReceiveBatch(in, out)
+		for q, b := range out {
+			if len(b) > 0 {
+				s.Deliver(q, b)
+			}
+			out[q] = nil
 		}
-		s.Deliver(q, []Frame{f})
 	}
 }
 
@@ -206,6 +214,37 @@ func TestConformanceDelivery(t *testing.T) {
 				t.Errorf("second Close: %v", err)
 			}
 		})
+	}
+}
+
+// TestConformanceSameSteering: the model NIC and the software shim hash
+// with the same per-key table, so a capture and its replay put every flow
+// on the same queue.
+func TestConformanceSameSteering(t *testing.T) {
+	const queues, flows = 8, 200
+	frames := confFlows(flows, 2)
+	var ref map[byte]int
+	for _, c := range conformanceCases() {
+		be, run := c.build(t, queues, frames)
+		flowQueue := make(map[byte]int)
+		for q, fs := range openAndRun(t, be, run) {
+			for _, f := range fs {
+				flowQueue[f.Data[len(f.Data)-8]] = q
+			}
+		}
+		be.Close()
+		if len(flowQueue) != flows {
+			t.Fatalf("%s delivered %d flows, want %d", c.name, len(flowQueue), flows)
+		}
+		if ref == nil {
+			ref = flowQueue
+			continue
+		}
+		for id, q := range flowQueue {
+			if ref[id] != q {
+				t.Errorf("flow %d: %s steers to queue %d, %s to %d", id, c.name, q, conformanceCases()[0].name, ref[id])
+			}
+		}
 	}
 }
 

@@ -120,8 +120,9 @@ type Stats struct {
 // NIC is the simulated multi-queue controller at the core of the Sim
 // backend (the other backends replace it with a real socket or a file
 // reader plus the software steering shim). A single mutex serializes all
-// state-touching entry points: the delivery goroutine calls Receive/Poll
-// while every core's kernel goroutine installs and removes FDIR filters
+// state-touching entry points: injectors steer frames (a burst per hold
+// through Sim.ReceiveBatch, a frame per hold through Receive/Poll) while
+// every core's kernel goroutine installs and removes FDIR filters
 // (installFDIR on cutoff, expireFilters on deadlines) and any goroutine may
 // read Stats — the software analogue of the hardware's register interface.
 //
@@ -129,6 +130,8 @@ type Stats struct {
 type NIC struct {
 	mu  sync.Mutex
 	cfg Config // immutable after New
+	// rss is cfg.RSSKey's hash table; immutable after New.
+	rss *rssTable
 	// rings is guarded by mu.
 	rings []ring
 	// filters is guarded by mu.
@@ -160,6 +163,7 @@ func New(cfg Config) *NIC {
 	cfg.applyDefaults()
 	n := &NIC{
 		cfg:       cfg,
+		rss:       newRSSTable(&cfg.RSSKey),
 		rings:     make([]ring, cfg.Queues),
 		filters:   newFilterTable(cfg.PerfectFilterCap, cfg.SignatureFilterCap),
 		highwater: make([]int, cfg.Queues),
@@ -193,14 +197,44 @@ func (n *NIC) Receive(data []byte, ts int64) int {
 // carried on the enqueued frame; zero means unstamped and disables the
 // ingest→engine latency observation for the frame.
 func (n *NIC) ReceiveAt(data []byte, ts, ingest int64) int {
-	//scaplint:ignore hotpathblock audited: the simulated NIC is one mutex-guarded device standing in for hardware (steering, defrag, filter table, stats); ROADMAP item 2 shards it per queue
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	queue, data := n.steerLocked(data, ts)
+	if queue < 0 {
+		return -1
+	}
+	if !n.rings[queue].push(Frame{Data: data, TS: ts, Ingest: ingest}) {
+		n.stats.DroppedRing++
+		n.ringDrops[queue]++
+		if n.flight != nil {
+			if n.fullSince[queue] == 0 {
+				n.fullSince[queue] = ts
+				n.flight.Note(queue, metrics.FlightNICRingFull, int64(len(n.rings[queue].buf)), 0)
+			}
+			n.fullDrops[queue]++
+		}
+		return -1
+	}
+	n.acceptedLocked(queue, ts)
+	if n.rings[queue].n > n.highwater[queue] {
+		n.highwater[queue] = n.rings[queue].n
+	}
+	return queue
+}
+
+// steerLocked is the device's receive pipeline for one frame — decode,
+// IPv4 defragmentation, RSS, FDIR lookup, dynamic balancing — and the only
+// copy of it: the ring path (ReceiveAt) and the burst path
+// (Sim.ReceiveBatch) both steer through here. It returns the destination
+// queue and the frame bytes to deliver (rebuilt when a datagram completed),
+// or -1 when the frame is consumed here: undecodable, held as a fragment,
+// or dropped by a filter. Callers hold n.mu.
+func (n *NIC) steerLocked(data []byte, ts int64) (int, []byte) {
 	n.stats.Received++
 	p := &n.scratch
 	if err := pkt.Decode(data, p); err != nil {
 		n.stats.DecodeFailures++
-		return -1
+		return -1, nil
 	}
 	p.Timestamp = ts
 
@@ -210,22 +244,22 @@ func (n *NIC) ReceiveAt(data []byte, ts, ingest int64) int {
 		}
 		whole := n.defrag.Add(p)
 		if whole == nil {
-			return -1 // held until the datagram completes
+			return -1, nil // held until the datagram completes
 		}
 		data = pkt.RebuildIPv4Frame(p, whole)
 		if err := pkt.Decode(data, p); err != nil {
 			n.stats.DecodeFailures++
-			return -1
+			return -1, nil
 		}
 		p.Timestamp = ts
 	}
 
-	queue := n.rssQueue(p)
+	queue := n.rss.queue(&p.Key, n.cfg.Queues)
 	if f := n.filters.lookup(p); f != nil {
 		switch f.Action {
 		case ActionDrop:
 			n.stats.DroppedFilter++
-			return -1
+			return -1, nil
 		case ActionQueue:
 			if f.Queue >= 0 && f.Queue < len(n.rings) {
 				queue = f.Queue
@@ -247,49 +281,27 @@ func (n *NIC) ReceiveAt(data []byte, ts, ingest int64) int {
 			}
 		}
 	}
-	if !n.rings[queue].push(Frame{Data: data, TS: ts, Ingest: ingest}) {
-		n.stats.DroppedRing++
-		n.ringDrops[queue]++
-		if n.flight != nil {
-			if n.fullSince[queue] == 0 {
-				n.fullSince[queue] = ts
-				n.flight.Note(queue, metrics.FlightNICRingFull, int64(len(n.rings[queue].buf)), 0)
-			}
-			n.fullDrops[queue]++
-		}
-		return -1
-	}
+	return queue, data
+}
+
+// acceptedLocked closes queue's open ring-full episode, if any, now that
+// the queue took a frame again: the record carries the episode's duration
+// in virtual time and the frames lost during it. Callers hold n.mu.
+func (n *NIC) acceptedLocked(queue int, ts int64) {
 	if n.flight != nil && n.fullSince[queue] != 0 {
-		// The ring accepted a frame again: close the drop episode, with its
-		// duration in virtual time and the frames lost during it.
 		n.flight.Note(queue, metrics.FlightNICRingRecover, int64(n.fullDrops[queue]), ts-n.fullSince[queue])
 		n.fullSince[queue], n.fullDrops[queue] = 0, 0
 	}
-	if n.rings[queue].n > n.highwater[queue] {
-		n.highwater[queue] = n.rings[queue].n
-	}
-	return queue
-}
-
-// rssQueue computes the RSS queue for a decoded packet.
-func (n *NIC) rssQueue(p *pkt.Packet) int {
-	hasPorts := p.Key.Proto == pkt.ProtoTCP || p.Key.Proto == pkt.ProtoUDP
-	h := RSSHash(&n.cfg.RSSKey, p.Key.SrcIP, p.Key.DstIP, p.Key.SrcPort, p.Key.DstPort, hasPorts)
-	// The 82599 indexes a 128-entry indirection table with the low 7 bits;
-	// with an identity-style table this reduces to a modulo.
-	return int(h&0x7f) % n.cfg.Queues
 }
 
 // QueueFor reports the queue RSS would choose for a flow key, letting the
 // engine predict stream placement (e.g. for load-balance decisions).
 func (n *NIC) QueueFor(key pkt.FlowKey) int {
-	p := pkt.Packet{Key: key}
-	return n.rssQueue(&p)
+	return n.rss.queue(&key, n.cfg.Queues)
 }
 
 // Poll removes and returns the next frame of queue q.
 func (n *NIC) Poll(q int) (Frame, bool) {
-	//scaplint:ignore hotpathblock audited: same simulated-device mutex as ReceiveAt, held for one ring pop; ROADMAP item 2 gives each queue its own ring state
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.rings[q].pop()
@@ -323,6 +335,9 @@ func (n *NIC) AddFilter(spec FilterSpec) (evicted pkt.FlowKey, didEvict bool, er
 	if !didEvict {
 		return pkt.FlowKey{}, false, err
 	}
+	if n.lb != nil {
+		n.lb.filtersGone(n, evicted)
+	}
 	if err := n.filters.add(&s); err != nil {
 		return evicted, true, fmt.Errorf("nic: add after eviction: %w", err)
 	}
@@ -337,7 +352,11 @@ func (n *NIC) AddFilter(spec FilterSpec) (evicted pkt.FlowKey, didEvict bool, er
 func (n *NIC) RemoveFilters(key pkt.FlowKey, signature bool) int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.filters.removeKey(key, signature)
+	removed := n.filters.removeKey(key, signature)
+	if removed > 0 && !signature && n.lb != nil {
+		n.lb.filtersGone(n, key)
+	}
+	return removed
 }
 
 // FilterCount returns the number of installed (perfect, signature) filters.

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"testing"
+	"testing/quick"
 
 	"scap/internal/pkt"
 )
@@ -31,17 +32,47 @@ func TestToeplitzKnownVectors(t *testing.T) {
 		{"38.27.205.30", 48228, "209.142.163.6", 2217, 0xafc7327f},
 		{"153.39.163.191", 44251, "202.188.127.2", 1303, 0x10e828a2},
 	}
+	table := newRSSTable(&DefaultRSSKey)
 	for _, c := range cases {
 		got := RSSHash(&DefaultRSSKey, pkt.MustAddr(c.src), pkt.MustAddr(c.dst), c.sp, c.dp, true)
 		if got != c.want {
 			t.Errorf("RSSHash(%s:%d > %s:%d) = %#08x, want %#08x",
 				c.src, c.sp, c.dst, c.dp, got, c.want)
 		}
+		if got := tableHash(table, pkt.MustAddr(c.src), pkt.MustAddr(c.dst), c.sp, c.dp); got != c.want {
+			t.Errorf("table hash(%s:%d > %s:%d) = %#08x, want %#08x",
+				c.src, c.sp, c.dst, c.dp, got, c.want)
+		}
+	}
+}
+
+// tableHash is RSSHash for a TCP/UDP tuple computed through the table.
+func tableHash(t *rssTable, src, dst netip.Addr, sp, dp uint16) uint32 {
+	var buf [rssInputMax]byte
+	return t.hash(buf[:rssTuple(&buf, src, dst, sp, dp, true)])
+}
+
+// TestTableMatchesBitSerial is the property the steering rests on: for any
+// key and any input of an RSS tuple's length (IPv4 or IPv6, with or without
+// ports), the table computes the bit-serial Toeplitz hash.
+func TestTableMatchesBitSerial(t *testing.T) {
+	prop := func(key RSSKey, input [rssInputMax]byte) bool {
+		table := newRSSTable(&key)
+		for _, n := range []int{8, 12, 32, 36} {
+			if table.hash(input[:n]) != Toeplitz(&key, input[:n]) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestSymmetricKeyProperty(t *testing.T) {
 	k := SymmetricRSSKey(0x6d5a)
+	table := newRSSTable(&k)
 	r := rand.New(rand.NewSource(11))
 	for i := 0; i < 2000; i++ {
 		var a, b [4]byte
@@ -53,6 +84,12 @@ func TestSymmetricKeyProperty(t *testing.T) {
 		if h1 != h2 {
 			t.Fatalf("symmetric key not symmetric: %v:%d <-> %v:%d (%#x vs %#x)",
 				a, sp, b, dp, h1, h2)
+		}
+		t1 := tableHash(table, netip.AddrFrom4(a), netip.AddrFrom4(b), sp, dp)
+		t2 := tableHash(table, netip.AddrFrom4(b), netip.AddrFrom4(a), dp, sp)
+		if t1 != h1 || t2 != h1 {
+			t.Fatalf("table hash of %v:%d <-> %v:%d = %#x / %#x, bit-serial %#x",
+				a, sp, b, dp, t1, t2, h1)
 		}
 	}
 }
@@ -263,22 +300,6 @@ func TestRSSDistribution(t *testing.T) {
 	for q, c := range counts {
 		if c < flows/8/2 || c > flows/8*2 {
 			t.Errorf("queue %d got %d of %d flows — severe RSS imbalance", q, c, flows)
-		}
-	}
-}
-
-func BenchmarkReceive(b *testing.B) {
-	n := New(Config{Queues: 8, QueueDepth: 64})
-	frame := pkt.BuildTCP(pkt.TCPSpec{
-		Key:     key4("10.1.2.3", 4444, "10.3.2.1", 80),
-		Flags:   pkt.FlagACK,
-		Payload: make([]byte, 1400),
-	})
-	b.SetBytes(int64(len(frame)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if q := n.Receive(frame, int64(i)); q >= 0 {
-			n.Poll(q)
 		}
 	}
 }

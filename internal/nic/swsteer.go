@@ -26,8 +26,8 @@ import (
 //scap:shared
 type swSteer struct {
 	mu sync.Mutex
-	// key, queues are immutable after newSwSteer.
-	key    RSSKey
+	// rss, queues are immutable after newSwSteer.
+	rss    *rssTable
 	queues int
 	// filters is guarded by mu.
 	filters *filterTable
@@ -46,8 +46,9 @@ func newSwSteer(queues int) *swSteer {
 	if queues <= 0 {
 		queues = 1
 	}
+	key := SymmetricRSSKey(0x6d5a)
 	return &swSteer{
-		key:     SymmetricRSSKey(0x6d5a),
+		rss:     newRSSTable(&key),
 		queues:  queues,
 		filters: newFilterTable(swFilterCap, DefaultSignatureFilters),
 	}
@@ -69,9 +70,7 @@ func (s *swSteer) route(data []byte) (queue int, ok bool) {
 		s.stats.DroppedFilter++
 		return 0, false
 	}
-	hasPorts := p.Key.Proto == pkt.ProtoTCP || p.Key.Proto == pkt.ProtoUDP
-	h := RSSHash(&s.key, p.Key.SrcIP, p.Key.DstIP, p.Key.SrcPort, p.Key.DstPort, hasPorts)
-	return int(h&0x7f) % s.queues, true
+	return s.rss.queue(&p.Key, s.queues), true
 }
 
 // dropRing charges one frame lost to a full delivery ring on queue q.

@@ -6,7 +6,12 @@
 // to memory — the mechanism behind Scap's "subzero packet copy".
 package nic
 
-import "net/netip"
+import (
+	"encoding/binary"
+	"net/netip"
+
+	"scap/internal/pkt"
+)
 
 // RSSKeySize is the conventional RSS secret-key length in bytes.
 const RSSKeySize = 40
@@ -74,26 +79,79 @@ func Toeplitz(key *RSSKey, input []byte) uint32 {
 // RSSHash computes the RSS hash over the tuple the 82599 uses for TCP/UDP
 // over IPv4/IPv6: srcIP, dstIP, srcPort, dstPort in network order. For
 // non-TCP/UDP packets the ports are omitted (L3-only hashing).
+//
+// Toeplitz and RSSHash are the bit-serial specification and the test
+// oracle; packet paths hash through the per-key rssTable.
 func RSSHash(key *RSSKey, srcIP, dstIP netip.Addr, srcPort, dstPort uint16, hasPorts bool) uint32 {
-	var buf [36]byte
+	var buf [rssInputMax]byte
+	return Toeplitz(key, buf[:rssTuple(&buf, srcIP, dstIP, srcPort, dstPort, hasPorts)])
+}
+
+// rssInputMax is the longest RSS input: two IPv6 addresses and two ports.
+const rssInputMax = 36
+
+// rssTuple serializes the RSS input into buf and returns its length.
+func rssTuple(buf *[rssInputMax]byte, srcIP, dstIP netip.Addr, srcPort, dstPort uint16, hasPorts bool) int {
 	n := 0
-	put := func(a netip.Addr) {
+	for _, a := range [2]netip.Addr{srcIP, dstIP} {
 		if a.Is4() {
-			b := a.As4()
-			n += copy(buf[n:], b[:])
+			*(*[4]byte)(buf[n:]) = a.As4()
+			n += 4
 		} else {
-			b := a.As16()
-			n += copy(buf[n:], b[:])
+			*(*[16]byte)(buf[n:]) = a.As16()
+			n += 16
 		}
 	}
-	put(srcIP)
-	put(dstIP)
 	if hasPorts {
-		buf[n] = byte(srcPort >> 8)
-		buf[n+1] = byte(srcPort)
-		buf[n+2] = byte(dstPort >> 8)
-		buf[n+3] = byte(dstPort)
+		binary.BigEndian.PutUint16(buf[n:], srcPort)
+		binary.BigEndian.PutUint16(buf[n+2:], dstPort)
 		n += 4
 	}
-	return Toeplitz(key, buf[:n])
+	return n
+}
+
+// rssTable is one key's Toeplitz hash as a lookup table. The hash is linear
+// over GF(2): the hash of an input is the XOR of the hashes of its bytes
+// taken alone at their offsets. Entry [i][b] is the contribution of byte
+// value b at input offset i, so hashing costs one load and one XOR per
+// input byte (12 for an IPv4 TCP/UDP tuple) where the bit-serial form
+// walks 8 bits per byte. 36 KB per key, built once per device.
+type rssTable [rssInputMax][256]uint32
+
+func newRSSTable(key *RSSKey) *rssTable {
+	t := new(rssTable)
+	var input [rssInputMax]byte
+	for off := range t {
+		for bit := 0; bit < 8; bit++ {
+			// The specification gives the hash of this one input bit; every
+			// byte value whose highest set bit it is follows from the value
+			// without that bit, already in the table.
+			input[off] = 1 << bit
+			single := Toeplitz(key, input[:off+1])
+			for b := 1 << bit; b < 2<<bit; b++ {
+				t[off][b] = t[off][b^1<<bit] ^ single
+			}
+		}
+		input[off] = 0
+	}
+	return t
+}
+
+// hash returns the Toeplitz hash of input, at most rssInputMax bytes.
+func (t *rssTable) hash(input []byte) uint32 {
+	var h uint32
+	for i, b := range input {
+		h ^= t[i][b]
+	}
+	return h
+}
+
+// queue picks the receive queue for a flow key, RSSHash's tuple under the
+// table: the 82599 indexes a 128-entry indirection table with the low 7
+// bits of the hash; with an identity-style table this reduces to a modulo.
+func (t *rssTable) queue(k *pkt.FlowKey, queues int) int {
+	var buf [rssInputMax]byte
+	hasPorts := k.Proto == pkt.ProtoTCP || k.Proto == pkt.ProtoUDP
+	n := rssTuple(&buf, k.SrcIP, k.DstIP, k.SrcPort, k.DstPort, hasPorts)
+	return int(t.hash(buf[:n])&0x7f) % queues
 }
