@@ -11,6 +11,7 @@ import (
 
 	"scap/internal/core"
 	"scap/internal/event"
+	"scap/internal/flowtab"
 	"scap/internal/mem"
 	"scap/internal/metrics"
 	"scap/internal/nic"
@@ -108,12 +109,15 @@ const workerBatch = 128
 // Stream view handed to callbacks, and the batched memory-release
 // accumulators. The worker goroutine owns it exclusively.
 type workerState struct {
-	procTime map[uint64]time.Duration
 	// kept holds chunks the application asked to keep
 	// (scap_keep_stream_chunk), keyed by stream ID: the merged bytes so far,
 	// still charged to stream memory, backed by the retained arena block.
 	kept map[uint64]keptChunk
 	view Stream
+	// last is the capture-clock reading at the end of the previous callback
+	// (seeded by the batch's pop stamp): callbacks are timed as the interval
+	// between consecutive completions, one clock read per event.
+	last int64
 	// pendingRelease accumulates delivered chunks' Accounted bytes; they
 	// are returned to the memory manager in one Release per drained batch
 	// (and before parking), not one per event.
@@ -124,6 +128,49 @@ type workerState struct {
 	// core — switching queues flushes the previous core's batch.
 	blocks    []mem.Handle
 	blockCore int
+}
+
+// procTimes is one event queue's ProcessingTime store: cumulative callback
+// time per stream, in pages indexed by the stream record's slab index
+// (flowtab.Info.Ref) instead of a map keyed by stream ID. A slab record is
+// reused by later streams, so each entry remembers whose time it holds and
+// restarts at zero for a new ID — which also makes it indifferent to lost
+// creation or termination events. One engine's events reach one worker in
+// FIFO order, so the worker draining the queue is the only one to touch it.
+type procTimes struct {
+	pages [][]procEntry
+}
+
+type procEntry struct {
+	id  uint64
+	cum time.Duration
+}
+
+const procPageBits = 12
+
+// entry returns the slot for the stream an event describes, reset if the
+// slab record has changed hands since it was last used.
+//
+//scap:hotpath
+func (p *procTimes) entry(info *flowtab.Info) *procEntry {
+	pg := int(info.Ref >> procPageBits)
+	if pg >= len(p.pages) || p.pages[pg] == nil {
+		p.grow(pg)
+	}
+	pe := &p.pages[pg][info.Ref&(1<<procPageBits-1)]
+	if pe.id != info.ID {
+		*pe = procEntry{id: info.ID}
+	}
+	return pe
+}
+
+// grow materializes page pg. Cold: the store grows with the engine's record
+// slab (one 64 KiB page per 4096 records) and never shrinks.
+func (p *procTimes) grow(pg int) {
+	for len(p.pages) <= pg {
+		p.pages = append(p.pages, nil)
+	}
+	p.pages[pg] = make([]procEntry, 1<<procPageBits)
 }
 
 // keptChunk is one kept chunk between deliveries: data is the merged bytes,
@@ -137,8 +184,8 @@ type keptChunk struct {
 	core int
 }
 
-// forget drops a terminated stream's worker-side bookkeeping, releasing any
-// kept chunk's charge and block.
+// forget drops a terminated stream's kept chunk, releasing its charge and
+// block.
 func (c *captureState) forget(ws *workerState, id uint64) {
 	if len(ws.kept) > 0 {
 		if k, ok := ws.kept[id]; ok {
@@ -146,9 +193,6 @@ func (c *captureState) forget(ws *workerState, id uint64) {
 			ws.pendingRelease += k.acct
 			c.returnBlock(ws, k.core, k.blk)
 		}
-	}
-	if len(ws.procTime) > 0 {
-		delete(ws.procTime, id)
 	}
 }
 
@@ -189,12 +233,9 @@ func (c *captureState) returnBlock(ws *workerState, core int, h mem.Handle) {
 func (c *captureState) workerLoop(w int) {
 	defer c.workerWG.Done()
 	h := c.h
-	ws := &workerState{
-		procTime: make(map[uint64]time.Duration),
-		kept:     make(map[uint64]keptChunk),
-	}
-	// The final flush covers events dispatched via Wait after the last
-	// batch, so accounting reaches zero once the queues are drained.
+	ws := &workerState{kept: make(map[uint64]keptChunk)}
+	// The final flush covers whatever the last batch left pending, so
+	// accounting reaches zero once the queues are drained.
 	defer c.flushReleases(ws)
 	// Kept chunks normally die with their stream's termination event; if
 	// that event was lost to a full ring, settle the leftovers here so the
@@ -212,82 +253,78 @@ func (c *captureState) workerLoop(w int) {
 		qs = append(qs, h.queues[q])
 		engs = append(engs, h.engines[q])
 	}
-	if len(qs) == 0 {
-		return
+	procs := make([]procTimes, len(qs))
+	// Events are dispatched from the ring's own slots: a view stays the
+	// worker's until Release, which also zeroes the slots so delivered
+	// chunks are collectable; the batch's memory goes back in one release.
+	drain := func(i int, evs []event.Event) {
+		h.workerBatchH.Observe(w, uint64(len(evs)))
+		c.dispatchBatch(engs[i], &procs[i], evs, ws)
+		qs[i].Release(len(evs))
+		c.flushReleases(ws)
 	}
-	batch := make([]event.Event, workerBatch)
-	live := len(qs)
-	closed := make([]bool, len(qs))
-	for live > 0 {
+	for live := len(qs); live > 0; {
 		progressed := false
 		for i, q := range qs {
-			if closed[i] {
+			if q == nil {
 				continue
 			}
-			n := q.PopBatch(batch)
-			if n == 0 {
-				continue
+			if evs := q.View(workerBatch); len(evs) > 0 {
+				progressed = true
+				drain(i, evs)
 			}
-			progressed = true
-			h.workerBatchH.Observe(w, uint64(n))
-			popNow := metrics.Nanotime()
-			for j := range batch[:n] {
-				ev := &batch[j]
-				if ev.EnqueueNS > 0 && popNow >= ev.EnqueueNS {
-					h.stageWorkerH.ObserveEx(engs[i].CoreID(), uint64(popNow-ev.EnqueueNS), ev.Info.ID)
-				}
-				c.dispatch(engs[i], ev, ws)
-			}
-			// Drop chunk references so delivered buffers are collectable,
-			// then return their memory in one release.
-			clear(batch[:n])
-			c.flushReleases(ws)
 		}
-		if !progressed {
-			// Block on the first open queue; others are polled again
-			// after it yields (single-queue-per-worker is the common
-			// configuration, where Wait alone drives the loop). The
-			// queues are empty here, so flush the accounting before
-			// parking.
-			i := firstOpen(closed)
-			if i < 0 {
-				return
-			}
-			c.flushReleases(ws)
-			ev, ok := qs[i].Wait()
-			if !ok {
-				closed[i] = true
-				live--
-				continue
-			}
-			if ev.EnqueueNS > 0 {
-				if popNow := metrics.Nanotime(); popNow >= ev.EnqueueNS {
-					h.stageWorkerH.ObserveEx(engs[i].CoreID(), uint64(popNow-ev.EnqueueNS), ev.Info.ID)
-				}
-			}
-			c.dispatch(engs[i], &ev, ws)
+		if progressed {
+			continue
 		}
+		// Park on the first open queue; others are polled again after it
+		// yields (single-queue-per-worker is the common configuration,
+		// where the park alone drives the loop). flushReleases ran after
+		// the last batch, so nothing is held back while parked.
+		i := 0
+		for qs[i] == nil {
+			i++
+		}
+		evs, ok := qs[i].WaitView(workerBatch)
+		if !ok {
+			qs[i] = nil
+			live--
+			continue
+		}
+		drain(i, evs)
 	}
 }
 
-func firstOpen(closed []bool) int {
-	for i, c := range closed {
-		if !c {
-			return i
+// dispatchBatch runs the callbacks for one view of a ring. One clock read
+// stamps the pop for the whole view: it closes every event's ring→worker
+// latency and opens the first callback's interval.
+//
+//scap:hotpath
+func (c *captureState) dispatchBatch(eng *core.Engine, procs *procTimes, evs []event.Event, ws *workerState) {
+	popNow := metrics.Nanotime()
+	ws.last = popNow
+	coreID := eng.CoreID()
+	for i := range evs {
+		ev := &evs[i]
+		if ev.EnqueueNS > 0 && popNow >= ev.EnqueueNS {
+			c.h.stageWorkerH.ObserveEx(coreID, uint64(popNow-ev.EnqueueNS), ev.Info.ID)
 		}
+		c.dispatch(eng, procs, ev, ws)
 	}
-	return -1
 }
 
 // dispatch runs one event's callback with a Stream view. The view struct
-// is reused across events (callbacks must not retain it past their
-// return), and per-stream map work is skipped entirely when no callback is
-// registered for the event. A kept chunk (scap_keep_stream_chunk) is
-// retained by the worker — block, bytes, and budget charge — and the next
-// data event is merged into the kept block's free room before the callback
-// sees it, so the invocation receives the previous and the new data
-// together without a fresh allocation.
-func (c *captureState) dispatch(eng *core.Engine, ev *event.Event, ws *workerState) {
+// is reused across events and reads the stream snapshot straight from the
+// ring slot (callbacks must not retain it past their return), and
+// per-stream bookkeeping is skipped entirely when no callback is registered
+// for the event. A kept chunk (scap_keep_stream_chunk) is retained by the
+// worker — block, bytes, and budget charge — and the next data event is
+// merged into the kept block's free room before the callback sees it, so
+// the invocation receives the previous and the new data together without a
+// fresh allocation.
+//
+//scap:hotpath
+func (c *captureState) dispatch(eng *core.Engine, procs *procTimes, ev *event.Event, ws *workerState) {
 	h := c.h
 	var fn Handler
 	var kind appEventKind
@@ -314,28 +351,28 @@ func (c *captureState) dispatch(eng *core.Engine, ev *event.Event, ws *workerSta
 		}
 	}
 	if len(h.apps) > 0 || fn != nil {
+		pe := procs.entry(&ev.Info)
+		// Reset in place (a composite literal would be built aside and
+		// copied over the view).
 		sd := &ws.view
-		*sd = Stream{
-			info:    ev.Info,
-			handle:  h,
-			engine:  eng,
-			raw:     ev.Stream,
-			procCum: ws.procTime[ev.Info.ID],
-		}
+		*sd = Stream{}
+		sd.info, sd.handle, sd.engine, sd.raw, sd.procCum = &ev.Info, h, eng, ev.Stream, pe.cum
 		if ev.Type == event.Data {
 			sd.Data = cur.data
 			sd.HoleBefore = ev.HoleBefore
 			sd.Last = ev.Last
 			sd.pkts = ev.Pkts
 		}
-		start := time.Now()
 		if len(h.apps) > 0 {
 			h.dispatchApps(kind, sd)
 		} else {
 			fn(sd)
 		}
-		dur := time.Since(start)
-		ws.procTime[ev.Info.ID] = sd.procCum + dur
+		// The end of this callback is the start of the next one's interval.
+		now := metrics.Nanotime()
+		dur := time.Duration(now - ws.last)
+		ws.last = now
+		pe.cum += dur
 		h.callbackH.ObserveEx(eng.CoreID(), uint64(dur), ev.Info.ID)
 		kept = ev.Type == event.Data && sd.keep && !ev.Last
 	}

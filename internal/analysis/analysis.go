@@ -16,7 +16,7 @@
 //     be touched by methods that acquire that mutex (or are *Locked
 //     helpers called with it held).
 //   - metricreg: functions marked //scap:hotpath may only use the
-//     internal/metrics atomic fast path (Add/Inc/Set/Observe/ObserveEx/Load/Note/Put);
+//     internal/metrics atomic fast path (Add/Inc/Set/Observe/ObserveEx/ObserveN/Load/Note/Put);
 //     metric registration and snapshot assembly belong in setup code.
 //   - exporteddoc: packages carrying a //scap:publicapi file marker must
 //     document every exported symbol.

@@ -10,7 +10,7 @@ import (
 // MetricReg enforces the registration/update split of internal/metrics on
 // the per-packet path: functions marked //scap:hotpath may only touch the
 // metrics package through its atomic fast path (Cell.Add/Inc, Gauge.Set/
-// Add, Histogram.Observe, FlightRecorder.Note, and the Load readers). Metric
+// Add, Histogram.Observe/ObserveN, FlightRecorder.Note, and the Load readers). Metric
 // registration (NewCounter, NewGauge, NewHistogram, ...) and snapshot
 // assembly take the registry mutex and allocate; both belong in setup
 // code, before the capture loop starts.
@@ -25,7 +25,8 @@ var MetricReg = &Analyzer{
 // the per-packet path. Put is the seqlock record ring's writer, Note and
 // NoteAt the flight recorder's fixed-size no-alloc encoders over it;
 // ObserveEx is Observe plus a best-effort seqlock exemplar write (a few
-// uncontended atomics, never blocking); Nanotime is the alloc-free capture
+// uncontended atomics, never blocking); ObserveN is Observe for n equal
+// values (the same two atomic adds); Nanotime is the alloc-free capture
 // clock.
 var metricsFastPath = map[string]bool{
 	"Add":       true,
@@ -33,6 +34,7 @@ var metricsFastPath = map[string]bool{
 	"Set":       true,
 	"Observe":   true,
 	"ObserveEx": true,
+	"ObserveN":  true,
 	"Load":      true,
 	"Note":      true,
 	"NoteAt":    true,
@@ -62,7 +64,7 @@ func runMetricReg(p *Package) []Diagnostic {
 				return true
 			}
 			msg := fmt.Sprintf(
-				"%s: call to metrics.%s in a hot path (register metrics and take snapshots at setup; the per-packet path may only use the atomic fast path: Add/Inc/Set/Observe/ObserveEx/Load/Note/Put/Nanotime)",
+				"%s: call to metrics.%s in a hot path (register metrics and take snapshots at setup; the per-packet path may only use the atomic fast path: Add/Inc/Set/Observe/ObserveEx/ObserveN/Load/Note/Put/Nanotime)",
 				fname, callee)
 			if recv == "FlightRecorder" {
 				// Flight-record emission in hot-path code may only use the

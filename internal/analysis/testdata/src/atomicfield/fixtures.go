@@ -55,3 +55,37 @@ type ringSet struct {
 	next  atomic.Uint64
 	slots []slot
 }
+
+// slotRing mirrors event.Queue's slot protocol: tail is the published
+// cursor, stored and loaded with sync/atomic because it carries the
+// happens-before edge to the consumer; resv is the producer's private
+// reserve cursor running ahead of it and is plain by design.
+type slotRing struct {
+	tail uint64
+	head uint64
+	resv uint64
+	buf  []int
+}
+
+func (r *slotRing) reserve() *int {
+	p := &r.buf[r.resv%uint64(len(r.buf))] // fine: resv is never atomic
+	r.resv++
+	return p
+}
+
+func (r *slotRing) commit() { atomic.StoreUint64(&r.tail, r.resv) }
+
+func (r *slotRing) view() []int {
+	h := atomic.LoadUint64(&r.head)
+	return r.buf[h%uint64(len(r.buf)) : atomic.LoadUint64(&r.tail)%uint64(len(r.buf))]
+}
+
+func (r *slotRing) release(n int) {
+	atomic.StoreUint64(&r.head, r.head+uint64(n)) // want atomicfield "plain read of field head"
+}
+
+// commitRacy publishes without the atomic store: the consumer may see the
+// cursor before the slots it covers.
+func (r *slotRing) commitRacy() {
+	r.tail = r.resv // want atomicfield "plain write to field tail"
+}

@@ -39,6 +39,7 @@ func (e *engine) FastPath(n uint64) uint64 {
 	e.memUsed.Add(1)
 	e.batch.Observe(0, n)
 	e.batch.ObserveEx(0, n, 7)
+	e.batch.ObserveN(0, n, 64)
 	e.flight.Note(0, metrics.FlightCutoff, int64(n), 0)
 	e.batch.Observe(0, uint64(metrics.Nanotime()))
 	return e.packets.Load()

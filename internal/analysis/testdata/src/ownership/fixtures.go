@@ -110,3 +110,36 @@ func orphan() {} // want ownership "unknown //scap:spsc type"
 //
 //scap:owner
 type unowned struct{ n int } // want ownership "missing role"
+
+// The slot protocol of event.Queue: the producer builds events in slots it
+// reserves and publishes them with one commit; the consumer borrows the
+// published slots with view and hands them back with release. The slots
+// between release and reserve are the only hand-over, so each pair belongs
+// to exactly one side.
+
+//scap:produce
+func (r *ring) reserve() *int { p := &r.buf[r.tail%uint64(len(r.buf))]; r.tail++; return p }
+
+//scap:produce
+func (r *ring) commit() {}
+
+//scap:consume
+func (r *ring) view() []int { return r.buf[r.head%uint64(len(r.buf)):] }
+
+//scap:consume
+func (r *ring) release(n int) { r.head += uint64(n) }
+
+//scap:goroutine producer
+func stageLoop(r *ring) {
+	*r.reserve() = 1 // fine: the producer builds in place
+	r.commit()
+	r.release(1) // want ownership "consumer-side of SPSC ring"
+}
+
+//scap:goroutine consumer
+func dispatchLoop(r *ring) {
+	v := r.view() // fine: the consumer reads the slots it was handed
+	r.release(len(v))
+	*r.reserve() = 2 // want ownership "producer-side of SPSC ring"
+	r.commit()       // want ownership "producer-side of SPSC ring"
+}

@@ -5,6 +5,7 @@ import (
 	"scap/internal/flowtab"
 	"scap/internal/mem"
 	"scap/internal/metrics"
+	"scap/internal/reassembly"
 	"scap/internal/streamscope"
 )
 
@@ -67,14 +68,48 @@ func (c *chunkState) accounted() int { return len(c.buf) - c.overlapLen + c.extr
 // room returns how many bytes the chunk may still take.
 func (c *chunkState) room() int { return c.size - len(c.buf) }
 
-// ext returns (allocating if needed) the engine extension of s.
-func ext(s *flowtab.Stream) *streamExt {
-	if e, ok := s.Chunk.(*streamExt); ok {
-		return e
+// ext returns the engine extension of s. Every tracked stream has one: the
+// create path attaches it (newExt) before anything else looks.
+func ext(s *flowtab.Stream) *streamExt { return s.Chunk.(*streamExt) }
+
+// stateSlab is how many extensions or assemblers an empty free list is
+// refilled with in one allocation, so even a cold engine — every stream new,
+// none retired yet — pays one heap object per 64 streams, not two per stream.
+const stateSlab = 64
+
+// refill stocks an empty free list with one slab of zero values.
+func refill[T any](free []*T) []*T {
+	slab := make([]T, stateSlab)
+	for i := range slab {
+		free = append(free, &slab[i])
 	}
-	e := &streamExt{}
-	s.Chunk = e
-	return e
+	return free
+}
+
+// newExt attaches a zeroed extension to a just-created stream: the one a
+// retired stream parked last, or one of a fresh slab.
+func (e *Engine) newExt(s *flowtab.Stream) *streamExt {
+	if len(e.freeExt) == 0 {
+		e.freeExt = refill(e.freeExt)
+	}
+	n := len(e.freeExt) - 1
+	x := e.freeExt[n]
+	e.freeExt = e.freeExt[:n]
+	s.Chunk = x
+	return x
+}
+
+// newAsm returns an assembler in its initial state for cfg, recycled the
+// same way; Reset wipes whatever its previous stream left.
+func (e *Engine) newAsm(cfg reassembly.Config) *reassembly.Assembler {
+	if len(e.freeAsm) == 0 {
+		e.freeAsm = refill(e.freeAsm)
+	}
+	n := len(e.freeAsm) - 1
+	a := e.freeAsm[n]
+	e.freeAsm = e.freeAsm[:n]
+	a.Reset(cfg)
+	return a
 }
 
 // newChunkBuf starts a chunk in a fresh arena block, bounded by the

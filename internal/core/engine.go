@@ -88,6 +88,13 @@ type Options struct {
 	Scope *streamscope.Scope
 }
 
+// burstAcct is the accounting an engine accumulates between two flushes.
+// storedBytes doubles as the pending stream-memory reservation: every byte
+// stored in a chunk is charged to the budget.
+type burstAcct struct {
+	frames, packets, payloadBytes, storedBytes uint64
+}
+
 // filterEntry tracks one stream's FDIR deadline in the engine's heap
 // (paper §5.5: filters are kept sorted by timeout).
 type filterEntry struct {
@@ -184,10 +191,29 @@ type Engine struct {
 	// flushes never measure against a stale batch.
 	stageStart int64
 
-	// evBuf stages events between flushes so a burst of chunks reaches the
-	// ring through one PushBatch — one tail publication and at most one
-	// consumer wakeup — instead of a push per event.
-	evBuf []event.Event
+	// Events are built in the ring's own slots (stage) and published by the
+	// next flush: staged counts the slots reserved since the last Commit,
+	// lost the events a full ring refused in the same span, and leadID names
+	// the span's first stream (the stage-latency exemplar). lostEv is where
+	// a refused event is built instead, so callers fill it like any other
+	// before staged unwinds its accounting.
+	staged int
+	lost   int
+	leadID uint64
+	lostEv event.Event
+
+	// pend is the burst-local accounting: the per-frame counters and the
+	// stream-memory reservation accumulate here as plain adds and reach the
+	// shared atomics once per flush (publish), so the in-order data-frame
+	// path executes no locked instruction.
+	pend burstAcct
+
+	// freeExt and freeAsm recycle per-stream state: finishStream parks a
+	// retired stream's extension (zeroed) and assembler here, newExt and
+	// newAsm take them back (refilling an empty list a slab at a time), so
+	// after warm-up a stream costs no heap object.
+	freeExt []*streamExt
+	freeAsm []*reassembly.Assembler
 
 	// curStream/curExt name the stream whose payload is currently being
 	// fed through the assembler; emitCb and flushCb are bound once at
@@ -211,7 +237,6 @@ func NewEngine(opts Options) *Engine {
 		coreID:           opts.CoreID,
 		dirty:            make(map[*flowtab.Stream]struct{}),
 		maxStreams:       opts.MaxStreams,
-		evBuf:            make([]event.Event, 0, evBatchMax),
 		dynCutoff:        -1,
 		sketchFDIRBudget: -1,
 	}
@@ -257,8 +282,12 @@ func NewEngine(opts Options) *Engine {
 
 // Stats returns a snapshot of this core's counters. It is safe to call from
 // any goroutine while the engine runs: each counter is loaded atomically, so
-// the snapshot is race-free (individual fields may lag each other by a
-// packet, like reading /proc counters). The same numbers — plus totals,
+// the snapshot is race-free. The per-frame counters (Frames, Packets,
+// PayloadBytes, StoredBytes) are published once per flush, so a
+// cross-goroutine reader may see them lag the others by at most one burst;
+// they are exact once a public entry point (HandleFrame, HandleFrames,
+// HandlePacket, CheckTimers, DrainControls, Shutdown) has returned, like
+// reading /proc counters between softirqs. The same numbers — plus totals,
 // per-core breakdowns, and rates — are available through the shared
 // metrics registry (Metrics.Registry).
 //
@@ -360,18 +389,34 @@ func (e *Engine) HandleFrames(frames []nic.Frame) {
 	e.drainCtrl()
 	now := metrics.Nanotime()
 	e.stageStart = now
+	// Frames of one burst share one ingest stamp, so the ingest→engine
+	// latency is observed once per run of equal stamps, not once per frame.
+	var ing int64
+	var run uint64
 	for i := range frames {
-		if ing := frames[i].Ingest; ing > 0 && now >= ing {
-			e.m.stageIngest.Observe(e.coreID, uint64(now-ing))
+		if frames[i].Ingest != ing {
+			e.observeIngest(now, ing, run)
+			ing, run = frames[i].Ingest, 0
 		}
+		run++
 		e.handleFrame(frames[i].Data, frames[i].TS)
 	}
+	e.observeIngest(now, ing, run)
 	e.flushEvents()
+}
+
+// observeIngest records the ingest→engine latency of n frames stamped ing.
+//
+//scap:hotpath
+func (e *Engine) observeIngest(now, ing int64, n uint64) {
+	if n > 0 && ing > 0 && now >= ing {
+		e.m.stageIngest.ObserveN(e.coreID, uint64(now-ing), n)
+	}
 }
 
 //scap:hotpath
 func (e *Engine) handleFrame(data []byte, ts int64) {
-	e.c.frames.Add(1)
+	e.pend.frames++
 	if ts > e.now {
 		e.now = ts
 	}
@@ -420,7 +465,7 @@ func (e *Engine) handlePacket(p *pkt.Packet) {
 		}
 		p = &np
 	}
-	e.c.packets.Add(1)
+	e.pend.packets++
 	e.process(p)
 }
 
@@ -443,7 +488,7 @@ func (e *Engine) process(p *pkt.Packet) {
 			}
 		}
 		s = e.table.CreateH(h, p.Key, ts)
-		e.initStream(s, ext(s), p, h)
+		e.initStream(s, e.newExt(s), p, h)
 	} else {
 		e.table.Touch(s, ts)
 	}
@@ -602,7 +647,7 @@ func (e *Engine) initStream(s *flowtab.Stream, x *streamExt, p *pkt.Packet, h ui
 		s.Priority = e.packetPriority(p)
 	}
 	if p.Key.Proto == pkt.ProtoTCP {
-		s.Asm = reassembly.New(reassembly.Config{
+		s.Asm = e.newAsm(reassembly.Config{
 			Mode:   e.cfg.Mode,
 			Policy: e.cfg.resolvePolicy(p.Key.DstIP),
 		})
@@ -612,8 +657,7 @@ func (e *Engine) initStream(s *flowtab.Stream, x *streamExt, p *pkt.Packet, h ui
 		e.jbind(s, x, true)
 		e.jnote(x, streamscope.EvCreated, int64(s.Priority), s.Cutoff)
 	}
-	e.stage(event.Creation, s, 0)
-	e.staged()
+	e.emit(e.stage(event.Creation, s, 0))
 }
 
 // jbind acquires a journal for s on this engine's pool. sampled=false marks
@@ -726,7 +770,7 @@ func (e *Engine) processPayloadBytes(s *flowtab.Stream, x *streamExt, p *pkt.Pac
 		return
 	}
 	s.Stats.PayloadBytes += uint64(n)
-	e.c.payloadBytes.Add(uint64(n))
+	e.pend.payloadBytes += uint64(n)
 
 	if x.discard || s.Status == flowtab.StatusCutoff {
 		s.Stats.DiscardedPkts++
@@ -749,7 +793,10 @@ func (e *Engine) processPayloadBytes(s *flowtab.Stream, x *streamExt, p *pkt.Pac
 		return
 	}
 
-	switch e.mm.Decide(s.Priority, pos, n) {
+	// The bytes stored since the last publish are not in the manager's
+	// count yet; deciding against both keeps admission independent of how
+	// many frames share one reservation.
+	switch e.mm.DecidePending(int64(e.pend.storedBytes), s.Priority, pos, n) {
 	case mem.Admit:
 	default:
 		s.Stats.DroppedPkts++
@@ -906,8 +953,7 @@ func (e *Engine) appendData(s *flowtab.Stream, x *streamExt, b []byte, hole bool
 		copy(c.buf[n:], b[:take])
 		b = b[take:]
 		s.Stats.CapturedBytes += uint64(take)
-		e.c.storedBytes.Add(uint64(take))
-		e.mm.Reserve(take)
+		e.pend.storedBytes += uint64(take)
 		e.markDirty(s, x)
 		if c.room() == 0 {
 			e.deliverChunk(s, x, false)
@@ -948,14 +994,14 @@ func (e *Engine) deliverChunk(s *flowtab.Stream, x *streamExt, last bool) {
 			delete(e.dirty, s)
 		}
 	}
-	e.staged()
+	e.emit(ev)
 }
 
 // dropChunk releases an undelivered chunk's memory (discard/termination of
 // an empty tail).
 func (e *Engine) dropChunk(s *flowtab.Stream, x *streamExt) {
 	if acct := x.chunk.accounted(); acct > 0 {
-		e.mm.Release(acct)
+		e.release(acct)
 	}
 	if x.chunk.blk != mem.NoBlock {
 		e.mm.FreeBlock(e.coreID, x.chunk.blk)
@@ -964,77 +1010,107 @@ func (e *Engine) dropChunk(s *flowtab.Stream, x *streamExt) {
 	delete(e.dirty, s)
 }
 
-// evBatchMax bounds staged events so timer sweeps and shutdowns over large
-// tables flush incrementally instead of hoarding the whole table's events.
+// evBatchMax bounds the events published per Commit, so timer sweeps and
+// shutdowns over large tables publish incrementally — the worker drains
+// while the sweep is still running — instead of holding a whole table's
+// events invisible in reserved slots.
 const evBatchMax = 256
 
-// stage claims the next staged-event slot and fills its header and stream
+// stage claims the next ring slot and fills the event's header and stream
 // snapshot in place; the caller sets any chunk fields through the returned
-// pointer and then calls staged. Building the 320-byte event where it will
-// be flushed from saves a copy of it and one of its Info per event. The
-// slot is all zero on entry: evBuf starts zeroed and flushEvents clears
-// what it used.
+// pointer and then calls emit. The slot is all zero on entry (the consumer's
+// Release clears what it hands back). When the ring is full the event is
+// built in lostEv instead and emit accounts it as lost.
 //
 //scap:hotpath
 func (e *Engine) stage(typ event.Type, s *flowtab.Stream, chunks uint64) *event.Event {
-	// evBuf is preallocated at evBatchMax and flushed before it would
-	// overflow, so the reslice below stays inside its capacity.
-	n := len(e.evBuf)
-	e.evBuf = e.evBuf[:n+1]
-	ev := &e.evBuf[n]
+	if e.staged+e.lost == 0 {
+		e.leadID = s.ID
+	}
+	ev := e.q.Reserve()
+	if ev == nil {
+		ev = &e.lostEv
+	}
 	ev.Type = typ
 	ev.Stream = s
 	s.SnapshotInto(&ev.Info, chunks)
 	return ev
 }
 
-// staged follows stage once the event's fields are set: the event goes out
-// with the next flush, which is now if the staging area is full.
+// emit follows stage once the event's fields are set: the event goes out
+// with the next flush, which is now if evBatchMax of them are waiting. An
+// event the ring refused is unwound here instead — counted as lost, its
+// chunk's charge released and its block freed, exactly like a per-event push
+// on a full queue.
 //
 //scap:hotpath
-func (e *Engine) staged() {
-	if len(e.evBuf) >= evBatchMax {
+func (e *Engine) emit(ev *event.Event) {
+	if ev != &e.lostEv {
+		e.staged++
+	} else {
+		e.lost++
+		e.c.eventsLost.Add(1)
+		e.c.eventsLostBytes.Add(uint64(len(ev.Data)))
+		if ev.Accounted > 0 {
+			e.release(ev.Accounted)
+		}
+		if ev.Block != mem.NoBlock {
+			e.mm.FreeBlock(e.coreID, ev.Block)
+		}
+		*ev = event.Event{}
+	}
+	if e.staged+e.lost >= evBatchMax {
 		e.flushEvents()
 	}
 }
 
-// flushEvents publishes the staged events to the ring in one batch. Events
-// the ring cannot take are accounted as lost and their chunk memory is
-// released, exactly like the old per-event push on a full queue.
+// publish moves the burst-local accounting into the shared counters and the
+// memory manager. It runs before every Commit (a worker must never release
+// bytes the manager has not been charged), before every engine-side Release,
+// and before every public entry point returns.
+func (e *Engine) publish() {
+	p := e.pend
+	if p == (burstAcct{}) {
+		return
+	}
+	e.pend = burstAcct{}
+	e.c.frames.Add(p.frames)
+	e.c.packets.Add(p.packets)
+	e.c.payloadBytes.Add(p.payloadBytes)
+	if p.storedBytes > 0 {
+		e.c.storedBytes.Add(p.storedBytes)
+		e.mm.Reserve(int(p.storedBytes))
+	}
+}
+
+// release returns n bytes to the stream-memory budget from the engine side.
+// The bytes may have been stored in this very burst, so the pending
+// reservation is published first: used never dips below zero.
+func (e *Engine) release(n int) {
+	e.publish()
+	e.mm.Release(n)
+}
+
+// flushEvents publishes the burst: first the accounting, then the events
+// staged since the last flush, with one Commit. Events the ring refused were
+// already unwound by emit; the flush reports them as one overflow record.
 func (e *Engine) flushEvents() {
-	if len(e.evBuf) == 0 {
+	e.publish()
+	if e.staged+e.lost == 0 {
 		return
 	}
 	now := metrics.Nanotime()
 	if e.stageStart > 0 {
 		// The batch's lead stream serves as the latency exemplar: a tail
 		// observation here links the p99 to a concrete journal.
-		e.m.stageRing.ObserveEx(e.coreID, uint64(now-e.stageStart), e.evBuf[0].Info.ID)
+		e.m.stageRing.ObserveEx(e.coreID, uint64(now-e.stageStart), e.leadID)
 		e.stageStart = 0
 	}
-	for i := range e.evBuf {
-		e.evBuf[i].EnqueueNS = now
+	e.m.eventBatch.Observe(e.coreID, uint64(e.q.Commit(now)))
+	if e.lost > 0 {
+		e.m.flight.Note(e.coreID, metrics.FlightRingOverflow, int64(e.lost), 0)
 	}
-	n := e.q.PushBatch(e.evBuf)
-	e.m.eventBatch.Observe(e.coreID, uint64(n))
-	if lost := len(e.evBuf) - n; lost > 0 {
-		e.m.flight.Note(e.coreID, metrics.FlightRingOverflow, int64(lost), 0)
-	}
-	for i := n; i < len(e.evBuf); i++ {
-		ev := &e.evBuf[i]
-		e.c.eventsLost.Add(1)
-		e.c.eventsLostBytes.Add(uint64(len(ev.Data)))
-		if ev.Accounted > 0 {
-			e.mm.Release(ev.Accounted)
-		}
-		if ev.Block != mem.NoBlock {
-			e.mm.FreeBlock(e.coreID, ev.Block)
-		}
-	}
-	// Zero the staging area so chunk buffers are not pinned until the
-	// slots are overwritten by a later burst.
-	clear(e.evBuf)
-	e.evBuf = e.evBuf[:0]
+	e.staged, e.lost = 0, 0
 }
 
 // markDirty enrolls a stream for the flush-timeout scan. Streams with no
@@ -1183,11 +1259,17 @@ func (e *Engine) finishStream(s *flowtab.Stream, status flowtab.Status) {
 	e.removeFDIR(s)
 	e.jnote(x, streamscope.EvClose, int64(status), int64(s.Stats.CapturedBytes))
 	if !x.ignored {
-		e.stage(event.Termination, s, x.chunksDelivered)
-		e.staged()
+		e.emit(e.stage(event.Termination, s, x.chunksDelivered))
 	}
 	delete(e.dirty, s)
 	e.table.Remove(s)
+	// Park the per-stream state for the next stream: the extension zeroed
+	// here, the assembler reset when it is taken (newAsm knows the config).
+	*x = streamExt{}
+	e.freeExt = append(e.freeExt, x)
+	if s.Asm != nil {
+		e.freeAsm = append(e.freeAsm, s.Asm)
+	}
 	e.table.Recycle(s)
 }
 

@@ -90,6 +90,19 @@ type PacketRecord struct {
 // the worker thread draining a given queue is the only consumer (Close and
 // the read-only accessors may be called from anywhere).
 //
+// Slot protocol: events are built and consumed in the ring's own slots, so
+// the hop costs no copy of the 320-byte Event. The producer claims the next
+// slot with Reserve (all zero when handed out), fills it in place, and makes
+// every slot claimed so far visible with one Commit — one tail store and at
+// most one wakeup however many events a burst produced. The consumer borrows
+// the published slots with View (a slice of the ring itself, up to the wrap
+// point), dispatches from them, and hands them back with Release, which
+// zeroes them — dropping their chunk references — before the head store lets
+// the producer claim them again. A viewed slot therefore stays the
+// consumer's until Release: the producer never writes past head+Cap. Push,
+// PushBatch, Poll, PopBatch and Wait are the copying veneers over the same
+// cursors, for callers that hold events of their own.
+//
 // Memory model: the producer writes buf slots and then publishes them with
 // tail.Store; the consumer observes tail.Load before reading the slots, so
 // the atomic pair carries the happens-before edge. Symmetrically the
@@ -101,7 +114,7 @@ type PacketRecord struct {
 // refreshes it only when the cached value implies full/empty, which keeps
 // the fast path free of cross-core cache-line traffic.
 //
-// Blocking is slow-path-only: Wait advertises the consumer as parked
+// Blocking is slow-path-only: WaitView advertises the consumer as parked
 // (parked.Store), re-polls to close the race with a concurrent publish, and
 // only then blocks on the wake channel. The producer wakes it only on a
 // parked→unparked transition instead of signaling per event. With Go's
@@ -117,10 +130,13 @@ type Queue struct {
 	buf  []Event
 	mask uint64
 
-	// Producer-owned cache line: the write cursor and the producer's
-	// snapshot of the consumer cursor.
+	// Producer-owned cache line: the published write cursor, the reserve
+	// cursor running ahead of it (tail <= resv; the slots between are
+	// claimed but not yet visible), and the producer's snapshot of the
+	// consumer cursor.
 	_         [64]byte
 	tail      atomic.Uint64
+	resv      uint64
 	headCache uint64
 
 	// Consumer-owned cache line: the read cursor and the consumer's
@@ -170,34 +186,97 @@ func (q *Queue) wakeConsumer() {
 	}
 }
 
+// free returns how many slots the producer may still claim, refreshing its
+// snapshot of the consumer cursor only when the cached one cannot cover
+// want.
+func (q *Queue) free(want uint64) uint64 {
+	n := uint64(len(q.buf)) - (q.resv - q.headCache)
+	if n < want {
+		q.headCache = q.head.Load()
+		n = uint64(len(q.buf)) - (q.resv - q.headCache)
+	}
+	return n
+}
+
+// publish makes every claimed slot visible to the consumer: one tail store
+// and at most one wakeup.
+func (q *Queue) publish() {
+	q.tail.Store(q.resv)
+	q.wakeConsumer()
+}
+
+// Reserve claims the next ring slot for the producer to build an event in
+// place. The slot is all zero. It returns nil — counting a drop — when the
+// ring is full, and nil without a count when the queue is closed; the
+// caller accounts the event as lost either way. Claimed slots stay
+// invisible to the consumer until Commit. Producer side only.
+//
+//scap:hotpath
+//scap:produce
+func (q *Queue) Reserve() *Event {
+	r := q.resv
+	if r-q.headCache >= uint64(len(q.buf)) || q.closed.Load() {
+		return q.reserveSlow()
+	}
+	q.resv = r + 1
+	return &q.buf[r&q.mask]
+}
+
+// reserveSlow is Reserve when the cached consumer cursor says full (or the
+// queue is closed): it refreshes the snapshot and either claims the slot
+// after all or refuses it, off the fast path.
+func (q *Queue) reserveSlow() *Event {
+	if q.closed.Load() {
+		return nil
+	}
+	if q.free(1) == 0 {
+		q.dropped.Add(1)
+		return nil
+	}
+	q.resv++
+	return &q.buf[(q.resv-1)&q.mask]
+}
+
+// Commit publishes the slots claimed since the last publication, stamping
+// each with enqueueNS (Event.EnqueueNS: one capture-clock read covers the
+// flush), and returns how many there were. Slots claimed before a Close are
+// still published — they stay drainable like any event pushed ahead of it.
+// Producer side only.
+//
+//scap:hotpath
+//scap:produce
+func (q *Queue) Commit(enqueueNS int64) int {
+	t := q.tail.Load()
+	if t == q.resv {
+		return 0
+	}
+	for i := t; i != q.resv; i++ {
+		q.buf[i&q.mask].EnqueueNS = enqueueNS
+	}
+	q.publish()
+	return int(q.resv - t)
+}
+
 // Push enqueues an event; it reports false if the ring is full (counting a
 // drop) or closed. Producer side only.
 //
 //scap:hotpath
 //scap:produce
 func (q *Queue) Push(e Event) bool {
-	if q.closed.Load() {
+	slot := q.Reserve()
+	if slot == nil {
 		return false
 	}
-	t := q.tail.Load()
-	if t-q.headCache >= uint64(len(q.buf)) {
-		q.headCache = q.head.Load()
-		if t-q.headCache >= uint64(len(q.buf)) {
-			q.dropped.Add(1)
-			return false
-		}
-	}
-	q.buf[t&q.mask] = e
-	q.tail.Store(t + 1)
-	q.wakeConsumer()
+	*slot = e
+	q.publish()
 	return true
 }
 
 // PushBatch enqueues as many of evs as fit and returns how many were
 // accepted (0 if the queue is closed). Events beyond the accepted prefix
 // are counted as drops; the caller unwinds their accounting. One tail
-// publication and at most one wakeup cover the whole batch. Producer side
-// only.
+// publication and at most one wakeup cover the whole batch (and any slots
+// reserved ahead of it). Producer side only.
 //
 //scap:hotpath
 //scap:produce
@@ -205,105 +284,134 @@ func (q *Queue) PushBatch(evs []Event) int {
 	if len(evs) == 0 || q.closed.Load() {
 		return 0
 	}
-	t := q.tail.Load()
-	free := uint64(len(q.buf)) - (t - q.headCache)
-	if free < uint64(len(evs)) {
-		q.headCache = q.head.Load()
-		free = uint64(len(q.buf)) - (t - q.headCache)
-	}
 	k := uint64(len(evs))
-	if k > free {
+	if free := q.free(k); k > free {
 		q.dropped.Add(k - free)
 		k = free
 	}
-	for i := uint64(0); i < k; i++ {
-		q.buf[(t+i)&q.mask] = evs[i]
+	if k == 0 {
+		return 0
 	}
-	if k > 0 {
-		q.tail.Store(t + k)
-		q.wakeConsumer()
-	}
+	// Two block copies: up to the wrap point, then the remainder.
+	n := copy(q.buf[q.resv&q.mask:], evs[:k])
+	copy(q.buf, evs[n:k])
+	q.resv += k
+	q.publish()
 	return int(k)
+}
+
+// View returns up to max published events as a slice of the ring itself —
+// the contiguous run from the read cursor, ending at the wrap point if that
+// comes first (the next View continues past it). The slots belong to the
+// consumer until Release. Consumer side only.
+//
+//scap:hotpath
+//scap:consume
+func (q *Queue) View(max int) []Event {
+	h := q.head.Load()
+	avail := q.tailCache - h
+	if avail < uint64(max) {
+		// The cached tail can't fill the whole view; refresh it so one
+		// wakeup drains as much as the producer has published.
+		q.tailCache = q.tail.Load()
+		avail = q.tailCache - h
+	}
+	i := h & q.mask
+	n := min(avail, uint64(max), uint64(len(q.buf))-i)
+	return q.buf[i : i+n]
+}
+
+// Release hands the first n slots of the last View back to the producer,
+// zeroing them first so a delivered chunk is not pinned until the ring
+// comes round again and Reserve can promise a zero slot. Consumer side
+// only.
+//
+//scap:hotpath
+//scap:consume
+func (q *Queue) Release(n int) {
+	h := q.head.Load()
+	if uint64(n) > q.tailCache-h {
+		panic("event: Release of more slots than were viewed")
+	}
+	i := h & q.mask
+	clear(q.buf[i : i+uint64(n)])
+	q.head.Store(h + uint64(n))
 }
 
 // Poll removes the next event without blocking. Consumer side only.
 //
 //scap:consume
-func (q *Queue) Poll() (Event, bool) {
-	h := q.head.Load()
-	if h == q.tailCache {
-		q.tailCache = q.tail.Load()
-		if h == q.tailCache {
-			return Event{}, false
-		}
+func (q *Queue) Poll() (e Event, ok bool) {
+	v := q.View(1)
+	if len(v) == 0 {
+		return e, false
 	}
-	i := h & q.mask
-	e := q.buf[i]
-	q.buf[i] = Event{}
-	q.head.Store(h + 1)
+	e = v[0]
+	q.Release(1)
 	return e, true
 }
 
-// PopBatch drains up to len(dst) events into dst and returns the count —
-// the worker's drain-a-batch-per-wakeup path. Consumer side only.
-//
-//scap:consume
-func (q *Queue) PopBatch(dst []Event) int {
-	if len(dst) == 0 {
-		return 0
-	}
-	h := q.head.Load()
-	avail := q.tailCache - h
-	if avail < uint64(len(dst)) {
-		// The cached tail can't fill the whole batch; refresh it so one
-		// wakeup drains as much as the producer has published.
-		q.tailCache = q.tail.Load()
-		avail = q.tailCache - h
-		if avail == 0 {
-			return 0
-		}
-	}
-	k := uint64(len(dst))
-	if k > avail {
-		k = avail
-	}
-	for i := uint64(0); i < k; i++ {
-		idx := (h + i) & q.mask
-		dst[i] = q.buf[idx]
-		q.buf[idx] = Event{}
-	}
-	q.head.Store(h + k)
-	return int(k)
-}
-
-// Wait blocks until an event is available or the queue is closed; it
-// returns false only when closed and drained — the worker's poll() loop.
+// PopBatch drains up to len(dst) events into dst and returns the count.
 // Consumer side only.
 //
 //scap:consume
-func (q *Queue) Wait() (Event, bool) {
+func (q *Queue) PopBatch(dst []Event) int {
+	n := 0
+	for n < len(dst) {
+		v := q.View(len(dst) - n)
+		if len(v) == 0 {
+			break
+		}
+		n += copy(dst[n:], v)
+		q.Release(len(v))
+	}
+	return n
+}
+
+// WaitView blocks until at least one event is published and returns them
+// like View; it returns false only when the queue is closed and drained —
+// the worker's park. Consumer side only.
+//
+//scap:consume
+func (q *Queue) WaitView(max int) ([]Event, bool) {
 	for {
-		if e, ok := q.Poll(); ok {
-			return e, true
+		if v := q.View(max); len(v) > 0 {
+			return v, true
 		}
 		if q.closed.Load() {
 			// A push may have raced ahead of Close; drain it.
-			return q.Poll()
+			v := q.View(max)
+			return v, len(v) > 0
 		}
 		q.parked.Store(true)
 		// Re-poll after advertising the park: a producer that published
 		// before seeing parked=true is caught here, so the block below
 		// can never miss its wakeup.
-		if e, ok := q.Poll(); ok {
+		if v := q.View(max); len(v) > 0 {
 			q.parked.Store(false)
-			return e, true
+			return v, true
 		}
 		if q.closed.Load() {
 			q.parked.Store(false)
-			return q.Poll()
+			v := q.View(max)
+			return v, len(v) > 0
 		}
 		<-q.wake
 	}
+}
+
+// Wait blocks until an event is available or the queue is closed; it
+// returns false only when closed and drained. Consumer side only.
+//
+//scap:consume
+func (q *Queue) Wait() (e Event, ok bool) {
+	v, ok := q.WaitView(1)
+	if !ok {
+		return e, false
+	}
+	e = v[0]
+	q.Release(1)
+	return e, true
 }
 
 // Len returns the number of queued events (a racy snapshot when the queue

@@ -2,6 +2,7 @@ package event
 
 import (
 	"runtime"
+	"scap/internal/flowtab"
 	"sync"
 	"testing"
 )
@@ -187,8 +188,104 @@ func benchSPSCBatch(b *testing.B, q benchQueue) {
 	<-done
 }
 
+// fillSlot writes what the engine writes per event: the header and the
+// stream snapshot.
+func fillSlot(ev *Event, info *flowtab.Info) {
+	ev.Type = Data
+	ev.Info = *info
+	ev.Accounted = 1
+}
+
+// benchBurstCopy is the engine→worker hop as it was: 64 events built in a
+// staging buffer, copied into the ring by PushBatch, copied out by PopBatch
+// and cleared — one goroutine, no scheduler noise.
+func benchBurstCopy(b *testing.B, q *Queue) {
+	info := flowtab.Info{ID: 1, Chunks: 2}
+	stage := make([]Event, 64)
+	dst := make([]Event, 64)
+	var sink uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += 64 {
+		for j := range stage {
+			fillSlot(&stage[j], &info)
+		}
+		q.PushBatch(stage)
+		clear(stage)
+		n := q.PopBatch(dst)
+		for j := range dst[:n] {
+			sink += dst[j].Info.ID
+		}
+		clear(dst[:n])
+	}
+	_ = sink
+}
+
+// benchBurstSlots is the same hop over the slot protocol: events built in
+// reserved slots, one Commit, read through a view, one Release.
+func benchBurstSlots(b *testing.B, q *Queue) {
+	info := flowtab.Info{ID: 1, Chunks: 2}
+	var sink uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += 64 {
+		for j := 0; j < 64; j++ {
+			fillSlot(q.Reserve(), &info)
+		}
+		q.Commit(1)
+		for got := 0; got < 64; {
+			v := q.View(64)
+			for j := range v {
+				sink += v[j].Info.ID
+			}
+			q.Release(len(v))
+			got += len(v)
+		}
+	}
+	_ = sink
+}
+
+// benchSPSCSlots streams b.N events across goroutines in bursts of up to 64
+// over the slot protocol: Reserve/Commit on one side, View/Release with a
+// WaitView park on the other.
+func benchSPSCSlots(b *testing.B, q *Queue) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			v, ok := q.WaitView(64)
+			if !ok {
+				return
+			}
+			q.Release(len(v))
+		}
+	}()
+	info := flowtab.Info{ID: 1, Chunks: 2}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for pushed := 0; pushed < b.N; {
+		n := min(64, b.N-pushed)
+		for ; n > 0; n-- {
+			ev := q.Reserve()
+			if ev == nil {
+				break
+			}
+			fillSlot(ev, &info)
+			pushed++
+		}
+		q.Commit(1)
+		if n > 0 {
+			runtime.Gosched()
+		}
+	}
+	q.Close()
+	<-done
+}
+
 // BenchmarkEventRing compares the lock-free SPSC ring against the
-// mutex+cond queue it replaced, per-event and batched.
+// mutex+cond queue it replaced, per-event and batched, and the slot
+// protocol (reserve-commit/view-release) against the copying batch calls
+// (PushBatch/PopBatch) over the same ring.
 func BenchmarkEventRing(b *testing.B) {
 	const capacity = 4096
 	b.Run("pingpong/mutex", func(b *testing.B) { benchPingPong(b, newMutexQueue(capacity)) })
@@ -197,4 +294,7 @@ func BenchmarkEventRing(b *testing.B) {
 	b.Run("spsc/ring", func(b *testing.B) { benchSPSC(b, NewQueue(capacity)) })
 	b.Run("spsc-batch64/mutex", func(b *testing.B) { benchSPSCBatch(b, newMutexQueue(capacity)) })
 	b.Run("spsc-batch64/ring", func(b *testing.B) { benchSPSCBatch(b, NewQueue(capacity)) })
+	b.Run("spsc-batch64/reserve-commit+view-release", func(b *testing.B) { benchSPSCSlots(b, NewQueue(capacity)) })
+	b.Run("burst64/PushBatch+PopBatch", func(b *testing.B) { benchBurstCopy(b, NewQueue(capacity)) })
+	b.Run("burst64/reserve-commit+view-release", func(b *testing.B) { benchBurstSlots(b, NewQueue(capacity)) })
 }

@@ -11,7 +11,11 @@ import (
 // mutating the live record while user level reads, so each event carries a
 // consistent snapshot instead.
 type Info struct {
-	ID     uint64
+	ID uint64
+	// Ref is the record's index in its table's slab: stable while the
+	// stream lives, reused (under a new ID) after it is recycled. Consumers
+	// index per-stream side arrays by it instead of hashing the ID.
+	Ref    uint32
 	Key    pkt.FlowKey
 	Dir    pkt.Direction
 	Status Status
@@ -51,6 +55,7 @@ func (s *Stream) Snapshot(chunks uint64) Info {
 // copying it there. Every field of *info is overwritten.
 func (s *Stream) SnapshotInto(info *Info, chunks uint64) {
 	info.ID = s.ID
+	info.Ref = s.ref
 	info.Key = s.Key
 	info.Dir = s.Dir
 	info.Status = s.Status

@@ -387,3 +387,37 @@ func TestEstimatedBytesFromFIN(t *testing.T) {
 		t.Errorf("EstimatedBytes = %d", s.EstimatedBytes())
 	}
 }
+
+// TestSnapshotCarriesSlabIndex: Info.Ref is the record's slab index — stable
+// for the stream's life, distinct among live streams, and handed to the next
+// stream that reuses the record (under a new ID), which is what lets
+// consumers index per-stream side arrays by it.
+func TestSnapshotCarriesSlabIndex(t *testing.T) {
+	tab := NewTable(rand.New(rand.NewSource(1)))
+	seen := make(map[uint32]bool)
+	var streams []*Stream
+	for i := 0; i < 3*pageSize/2; i++ {
+		s, _ := tab.GetOrCreate(tk(uint16(i), 1), int64(i))
+		ref := s.Snapshot(0).Ref
+		if seen[ref] {
+			t.Fatalf("stream %d shares slab index %d with a live stream", i, ref)
+		}
+		seen[ref] = true
+		streams = append(streams, s)
+	}
+	victim := streams[pageSize+7]
+	ref, id := victim.Snapshot(0).Ref, victim.ID
+	tab.Touch(victim, 1<<40)
+	if victim.Snapshot(3).Ref != ref {
+		t.Fatal("slab index moved while the stream was live")
+	}
+	tab.Remove(victim)
+	tab.Recycle(victim)
+	s, created := tab.GetOrCreate(tk(60000, 60000), 1<<41)
+	if !created {
+		t.Fatal("expected a new stream")
+	}
+	if info := s.Snapshot(0); info.Ref != ref || info.ID == id {
+		t.Fatalf("reused record: ref %d id %d, want ref %d and a new id (old %d)", info.Ref, info.ID, ref, id)
+	}
+}

@@ -322,7 +322,17 @@ func (m *Manager) Admit(priority int, streamPos int64, size int) Decision {
 //
 //scap:hotpath
 func (m *Manager) Decide(priority int, streamPos int64, size int) Decision {
-	d := decide(m.cfg.Load(), m.used.Load(), priority, streamPos, size)
+	return m.DecidePending(0, priority, streamPos, size)
+}
+
+// DecidePending is Decide for a caller that batches its Reserve calls: it
+// decides against used plus pending, the bytes the caller has stored since
+// its last Reserve, so admission at a watermark does not depend on how many
+// packets share one reservation.
+//
+//scap:hotpath
+func (m *Manager) DecidePending(pending int64, priority int, streamPos int64, size int) Decision {
+	d := decide(m.cfg.Load(), m.used.Load()+pending, priority, streamPos, size)
 	if d != Admit {
 		m.countDrop(d)
 	}

@@ -100,3 +100,32 @@ func TestArenaUsedFraction(t *testing.T) {
 	}
 	m.FreeBlock(0, h)
 }
+
+// TestDecidePendingMatchesReserveThenDecide: deciding against used plus a
+// caller's unpublished bytes gives the answer a Reserve of those bytes
+// followed by Decide would — at every usage level across the watermark
+// ladder, for every priority — and reserves nothing itself.
+func TestDecidePendingMatchesReserveThenDecide(t *testing.T) {
+	cfg := Config{Size: 10000, BaseThreshold: 0.5, Priorities: 3, OverloadCutoff: 64}
+	for pending := int64(0); pending <= 10000; pending += 250 {
+		for base := int64(0); base+pending <= 10000; base += 1000 {
+			for prio := 0; prio < 3; prio++ {
+				for _, pos := range []int64{0, 64} {
+					a, b := New(cfg), New(cfg)
+					a.Reserve(int(base))
+					b.Reserve(int(base + pending))
+					got := a.DecidePending(pending, prio, pos, 100)
+					want := b.Decide(prio, pos, 100)
+					if got != want {
+						t.Fatalf("used %d pending %d prio %d pos %d: DecidePending = %v, Reserve+Decide = %v", base, pending, prio, pos, got, want)
+					}
+					if a.Used() != base {
+						t.Fatalf("DecidePending changed used: %d → %d", base, a.Used())
+					}
+					a.Close()
+					b.Close()
+				}
+			}
+		}
+	}
+}

@@ -62,7 +62,14 @@ func (h *Histogram) Desc() Desc { return h.desc }
 // core falls back to row 0.
 //
 //scap:hotpath
-func (h *Histogram) Observe(core int, v uint64) {
+func (h *Histogram) Observe(core int, v uint64) { h.ObserveN(core, v, 1) }
+
+// ObserveN records n observations of the same value v in one step — two
+// atomic adds however large n is. Burst-granular callers (frames that share
+// one ingest stamp) use it instead of n Observe calls.
+//
+//scap:hotpath
+func (h *Histogram) ObserveN(core int, v, n uint64) {
 	if core < 0 || core >= len(h.rows) {
 		core = 0
 	}
@@ -74,8 +81,8 @@ func (h *Histogram) Observe(core int, v uint64) {
 	if i >= h.nb {
 		i = h.nb - 1
 	}
-	row[i].Add(1)
-	row[h.nb].Add(v)
+	row[i].Add(n)
+	row[h.nb].Add(v * n)
 }
 
 // ObserveEx records one observation of v attributed to streamID, updating

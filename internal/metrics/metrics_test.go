@@ -201,3 +201,30 @@ func TestFuncMetrics(t *testing.T) {
 		t.Fatalf("func metrics: counter=%d gauge=%d", s.CounterTotal("ext_total"), s.GaugeValue("ext_now"))
 	}
 }
+
+// TestObserveNEqualsRepeatedObserve: n observations of one value in one step
+// leave the histogram exactly as n single observations do — buckets, count,
+// sum, including the first and the overflow bucket.
+func TestObserveNEqualsRepeatedObserve(t *testing.T) {
+	reg := NewRegistry(2)
+	a := reg.NewHistogram(Desc{Name: "a"}, 6)
+	b := reg.NewHistogram(Desc{Name: "b"}, 6)
+	for _, c := range []struct {
+		core int
+		v, n uint64
+	}{{0, 0, 3}, {0, 1, 1}, {1, 2, 64}, {0, 37, 7}, {1, 64, 5}, {0, 65, 2}, {1, 1 << 20, 9}, {7, 5, 4}, {0, 9, 0}} {
+		a.ObserveN(c.core, c.v, c.n)
+		for i := uint64(0); i < c.n; i++ {
+			b.Observe(c.core, c.v)
+		}
+	}
+	sa, sb := a.Snap(), b.Snap()
+	if sa.Count != sb.Count || sa.Sum != sb.Sum {
+		t.Fatalf("count/sum: ObserveN %d/%d, Observe %d/%d", sa.Count, sa.Sum, sb.Count, sb.Sum)
+	}
+	for i := range sa.Buckets {
+		if sa.Buckets[i] != sb.Buckets[i] {
+			t.Fatalf("bucket %d: ObserveN %+v, Observe %+v", i, sa.Buckets[i], sb.Buckets[i])
+		}
+	}
+}

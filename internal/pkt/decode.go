@@ -23,7 +23,12 @@ var (
 // transport header of the first fragment, is in Payload); reassembly is the
 // caller's job.
 func Decode(data []byte, p *Packet) error {
-	*p = Packet{Timestamp: p.Timestamp, Data: data, WireLen: len(data)}
+	// Reset in place: zeroing *p and storing three fields compiles to a
+	// clear plus stores, where assigning a composite literal builds a
+	// ~200-byte temporary and copies it over *p.
+	ts := p.Timestamp
+	*p = Packet{}
+	p.Timestamp, p.Data, p.WireLen = ts, data, len(data)
 	if len(data) < EthernetHeaderLen {
 		return fmt.Errorf("%w: %d bytes for ethernet", ErrTruncated, len(data))
 	}

@@ -76,15 +76,31 @@ type Assembler struct {
 	stats Stats
 }
 
-// New creates an assembler.
-func New(cfg Config) *Assembler {
+// withDefaults fills in the out-of-order buffer budget.
+func (cfg Config) withDefaults() Config {
 	if cfg.MaxBufferedBytes <= 0 {
 		cfg.MaxBufferedBytes = DefaultMaxBufferedBytes
 	}
 	if cfg.MaxBufferedSegments <= 0 {
 		cfg.MaxBufferedSegments = DefaultMaxBufferedSegments
 	}
-	return &Assembler{cfg: cfg, next: -1}
+	return cfg
+}
+
+// New creates an assembler.
+func New(cfg Config) *Assembler {
+	return &Assembler{cfg: cfg.withDefaults(), next: -1}
+}
+
+// Reset returns the assembler — a used one, or the zero value — to the
+// state New(cfg) creates, so an owner can recycle it for another stream
+// direction. Nothing carries over: the delivery point, flags, counters and
+// any still-buffered segments (whose byte storage is dropped) all go; only
+// the segment slice's capacity stays.
+func (a *Assembler) Reset(cfg Config) {
+	// Spare capacity can still name segments a budget drop truncated away.
+	clear(a.segs[:cap(a.segs)])
+	*a = Assembler{cfg: cfg.withDefaults(), next: -1, segs: a.segs[:0]}
 }
 
 // Init anchors the stream at a SYN with the given initial sequence number:

@@ -349,3 +349,55 @@ func BenchmarkReorderedSegments(b *testing.B) {
 		seq += 2 * uint32(len(data))
 	}
 }
+
+// TestResetCarriesNothingOver poisons an assembler — strict mode, last-wins
+// policy, tight buffer limits, an anchored delivery point, buffered
+// overlapping segments, flags and every counter — and checks that Reset
+// leaves it indistinguishable from New with the new configuration.
+func TestResetCarriesNothingOver(t *testing.T) {
+	a := New(Config{Mode: ModeStrict, Policy: PolicyLast, MaxBufferedBytes: 64, MaxBufferedSegments: 2})
+	sink := func([]byte, bool) {}
+	a.Init(100)
+	a.Segment(101, []byte("in-order"), sink)
+	a.Segment(101, []byte("dup"), sink)
+	a.Segment(200, bytes.Repeat([]byte{'x'}, 40), sink)
+	a.Segment(220, bytes.Repeat([]byte{'y'}, 40), sink)
+	a.Segment(400, bytes.Repeat([]byte{'z'}, 40), sink) // over budget: dropped, flagged
+	st := a.Stats()
+	if a.PendingBytes() == 0 || a.Flags() == 0 || st.DeliveredBytes == 0 || st.DuplicateBytes == 0 ||
+		st.OverlapNewWins == 0 || st.OutOfOrderSegs == 0 || st.DroppedSegments == 0 {
+		t.Fatalf("poisoning did not take: pending %d flags %v stats %+v", a.PendingBytes(), a.Flags(), st)
+	}
+
+	cfg := Config{Mode: ModeFast, Policy: PolicyBSD}
+	a.Reset(cfg)
+	fresh := New(cfg)
+	if a.cfg != fresh.cfg || a.next != fresh.next || a.bufn != 0 || a.flags != 0 || a.stats != (Stats{}) || len(a.segs) != 0 {
+		t.Fatalf("Reset left state behind: %+v, fresh %+v", *a, *fresh)
+	}
+	if a.Initialized() {
+		t.Fatal("Reset assembler still anchored")
+	}
+	// The dropped segments' storage must not stay reachable through the
+	// slice's spare capacity.
+	for _, s := range a.segs[:cap(a.segs)] {
+		if s.data != nil {
+			t.Fatal("Reset kept a buffered segment's bytes alive")
+		}
+	}
+
+	// And it behaves like a fresh one: same output for the same input.
+	var got, want []byte
+	feed := func(x *Assembler, out *[]byte) {
+		emit := func(b []byte, _ bool) { *out = append(*out, b...) }
+		x.Segment(5000, []byte("hello "), emit)
+		x.Segment(5012, []byte("again"), emit)
+		x.Segment(5006, []byte("world "), emit)
+		x.Flush(emit)
+	}
+	feed(a, &got)
+	feed(fresh, &want)
+	if !bytes.Equal(got, want) || a.Stats() != fresh.Stats() || a.Flags() != fresh.Flags() {
+		t.Fatalf("recycled assembler diverges from a fresh one: %q vs %q, %+v vs %+v", got, want, a.Stats(), fresh.Stats())
+	}
+}

@@ -247,7 +247,7 @@ type Handle struct {
 	// the engine instrument bundle registered in it, and workerBatchH
 	// tracks worker drain batch sizes. stageWorkerH and callbackH are the
 	// worker-side stage-latency histograms (event-ring publish to worker
-	// pop, and application callback duration). final freezes the last
+	// pop, and the interval between callback completions). final freezes the last
 	// statistics snapshot at Close, so GetStats never races engine teardown.
 	reg          *metrics.Registry
 	em           *core.Metrics
@@ -313,7 +313,7 @@ func Create(cfg Config) (*Handle, error) {
 	}, 38)
 	h.callbackH = h.reg.NewHistogram(metrics.Desc{
 		Name: "callback_ns",
-		Help: "application callback duration",
+		Help: "interval between consecutive callback completions on a worker (the callback plus its dispatch; the batch's pop stamp opens the first)",
 		Unit: "ns",
 	}, 38)
 	if !cfg.Streams.Disabled {

@@ -178,9 +178,17 @@ func TestServeFlightEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// ReplaySource returns once the frames are handed to the kernel
+	// goroutines; give them a moment to reach the first cutoff.
 	var dump metrics.FlightDump
-	if err := json.Unmarshal(getBody(t, "http://"+srv.Addr()+"/debug/flight"), &dump); err != nil {
-		t.Fatalf("parse /debug/flight: %v", err)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		dump = metrics.FlightDump{}
+		if err := json.Unmarshal(getBody(t, "http://"+srv.Addr()+"/debug/flight"), &dump); err != nil {
+			t.Fatalf("parse /debug/flight: %v", err)
+		}
+		if len(dump.Records) > 0 || time.Now().After(deadline) {
+			break
+		}
 	}
 	if dump.Cores != 2 || dump.Capacity == 0 {
 		t.Fatalf("dump header = %+v", dump)
@@ -405,9 +413,31 @@ func TestServeStreamsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// ReplaySource returns once the frames are handed to the kernel
+	// goroutines, which may still be working through them: scrape both views
+	// until they describe the same set of journals.
 	var dump streamscope.Dump
-	if err := json.Unmarshal(getBody(t, "http://"+srv.Addr()+"/debug/streams"), &dump); err != nil {
-		t.Fatalf("parse /debug/streams: %v", err)
+	var tr metrics.ChromeTrace
+	tracks := 0
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		dump, tr, tracks = streamscope.Dump{}, metrics.ChromeTrace{}, 0
+		if err := json.Unmarshal(getBody(t, "http://"+srv.Addr()+"/debug/streams"), &dump); err != nil {
+			t.Fatalf("parse /debug/streams: %v", err)
+		}
+		if err := json.Unmarshal(getBody(t, "http://"+srv.Addr()+"/debug/streams?format=chrome"), &tr); err != nil {
+			t.Fatalf("parse chrome streams trace: %v", err)
+		}
+		for _, ev := range tr.TraceEvents {
+			if ev.Ph == "M" && ev.Name == "thread_name" {
+				tracks++
+			}
+		}
+		if tracks == len(dump.Journals) && tracks > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("chrome export has %d named tracks, want %d", tracks, len(dump.Journals))
+		}
 	}
 	if dump.Cores != 2 || dump.SampleEvery != 1<<20 {
 		t.Fatalf("dump header = cores %d stride %d", dump.Cores, dump.SampleEvery)
@@ -446,14 +476,8 @@ func TestServeStreamsEndpoint(t *testing.T) {
 		t.Fatalf("cutoff journal has no cutoff event: %+v", cutoffJournal.Events)
 	}
 
-	var tr metrics.ChromeTrace
-	if err := json.Unmarshal(getBody(t, "http://"+srv.Addr()+"/debug/streams?format=chrome"), &tr); err != nil {
-		t.Fatalf("parse chrome streams trace: %v", err)
-	}
-	tracks := 0
 	for _, ev := range tr.TraceEvents {
 		if ev.Ph == "M" && ev.Name == "thread_name" {
-			tracks++
 			name, _ := ev.Args["name"].(string)
 			if !strings.HasPrefix(name, "stream ") {
 				t.Fatalf("track name %q lacks stream prefix", name)
@@ -465,9 +489,6 @@ func TestServeStreamsEndpoint(t *testing.T) {
 		if ev.TS < 0 {
 			t.Fatalf("negative trace timestamp: %+v", ev)
 		}
-	}
-	if tracks != len(dump.Journals) {
-		t.Fatalf("chrome export has %d named tracks, want %d", tracks, len(dump.Journals))
 	}
 
 	// The stream-journal counters surface in /metrics.

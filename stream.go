@@ -65,7 +65,9 @@ type PacketInfo struct {
 // A Stream (and its Data slice) is valid only for the duration of the
 // callback.
 type Stream struct {
-	info flowtab.Info
+	// info points at the event's snapshot in its ring slot; the slot stays
+	// the worker's until the callback has returned.
+	info *flowtab.Info
 
 	// Data is the current chunk for data events (sd->data); nil for
 	// creation/termination events. It is a zero-copy view into the chunk's
@@ -130,8 +132,11 @@ func (sd *Stream) HWFilterInstalled() bool { return sd.info.HWFilter }
 func (sd *Stream) EstimatedBytes() uint64 { return sd.info.EstimatedBytes }
 
 // ProcessingTime returns the cumulative wall-clock time this worker has
-// spent in callbacks for this stream (sd->processing_time), letting
-// applications spot streams that trigger algorithmic-complexity attacks.
+// spent in callbacks for this stream before the current one
+// (sd->processing_time), letting applications spot streams that trigger
+// algorithmic-complexity attacks. A callback is timed from the end of the
+// previous one on the same worker — one clock read per event — so the
+// figure includes its dispatch.
 func (sd *Stream) ProcessingTime() time.Duration { return sd.procCum }
 
 // NextPacket returns the next per-packet record of the current chunk, or
